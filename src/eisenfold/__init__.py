@@ -68,6 +68,15 @@ from .search import (
     vertex_swap,
 )
 from .render import RenderSpec, render_flower_svg, render_svg
-from .cli import cli_main
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli is imported on first use, so `python -m eisenfold.cli` does not
+    # find the module already imported by its package
+    if name == "cli_main":
+        from .cli import cli_main
+
+        return cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -433,6 +433,8 @@ def from_json_dict(doc: dict) -> FaceColoring:
     ba, bb = (int(x) for x in doc["complex_ref"]["beta"])
     c = QuotientComplex(EisensteinInt(ba, bb))
     bits = doc["colors"]
+    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+        raise DomainError("colors must be a bitstring of 0s and 1s")
     if len(bits) != c.face_count:
         raise DomainError("color bitstring length disagrees with face count")
     colors = tuple(BLACK if ch == "1" else WHITE for ch in bits)

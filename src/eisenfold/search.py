@@ -15,6 +15,9 @@ import json
 import os
 import random
 import time
+import weakref
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -36,6 +39,80 @@ class SwapError(ValueError):
     """The requested star swap is inapplicable."""
 
 
+def _alternates(colors, star) -> bool:
+    s0, s1, s2, s3, s4, s5 = star
+    c0 = colors[s0]
+    return c0 != colors[s1] != colors[s2] != colors[s3] != colors[s4] != colors[s5] != c0
+
+
+class _StarTable:
+    """Star-swap data of one complex, for every degree-6 vertex whose star
+    has six distinct faces (the only vertices a swap can apply to):
+
+    stars[v]  the six star faces in cyclic order (None for other vertices);
+    ring[v]   the other such vertices on the star faces, the only ones
+              whose swappability a swap at v can change;
+    outer[v]  (star face, outside face) for each side leaving the star, the
+              only sides whose fold status a swap at v changes.
+    """
+
+    def __init__(self, c: QuotientComplex):
+        n = c.vertex_count
+        self.stars: list[tuple[int, ...] | None] = [None] * n
+        for v in range(n):
+            if c.vertices[v].degree == 6:
+                star = tuple(c.vertex_star(v))
+                if len(set(star)) == 6:
+                    self.stars[v] = star
+        self.capable = [v for v in range(n) if self.stars[v] is not None]
+        self.ring: list[tuple[int, ...]] = [()] * n
+        self.outer: list[tuple[tuple[int, int], ...]] = [()] * n
+        for v in self.capable:
+            star = self.stars[v]
+            self.ring[v] = tuple(sorted(
+                {w for f in star for w in c.face_vertices[f]
+                 if w != v and self.stars[w] is not None}
+            ))
+            self.outer[v] = tuple(
+                (f, g) for f in star for g, _ in c.pairing[f] if g not in star
+            )
+
+    def swappable(self, colors) -> list[int]:
+        stars = self.stars
+        return [v for v in self.capable if _alternates(colors, stars[v])]
+
+    def fold_delta(self, colors, v: int) -> int:
+        """Change in fold count if the star of v is flipped."""
+        d = 0
+        for f, g in self.outer[v]:
+            d += 1 if colors[f] == colors[g] else -1
+        return d
+
+    def swap(self, colors: list[int], v: int, options: list[int]) -> None:
+        """Flip the star of v in place, keeping the ascending list `options`
+        equal to swappable(colors)."""
+        for f in self.stars[v]:
+            colors[f] = 1 - colors[f]
+        for w in self.ring[v]:
+            now = _alternates(colors, self.stars[w])
+            i = bisect_left(options, w)
+            was = i < len(options) and options[i] == w
+            if now and not was:
+                options.insert(i, w)
+            elif was and not now:
+                del options[i]
+
+
+_star_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _star_table(c: QuotientComplex) -> _StarTable:
+    table = _star_tables.get(c)
+    if table is None:
+        table = _star_tables[c] = _StarTable(c)
+    return table
+
+
 def vertex_swap(col: FaceColoring, v: int) -> FaceColoring:
     """Invert the six faces around an alternating degree-6 vertex.
 
@@ -43,30 +120,21 @@ def vertex_swap(col: FaceColoring, v: int) -> FaceColoring:
     vertex sees one black and one white flip per touched wedge pair.
     """
     c = col.complex
+    if not 0 <= v < c.vertex_count:
+        raise DomainError(f"no such vertex {v}")
     if c.vertices[v].degree != 6:
         raise SwapError(f"vertex {v} has degree {c.vertices[v].degree}, need 6")
-    star = c.vertex_star(v)
-    if len(set(star)) != 6:
+    star = _star_table(c).stars[v]
+    if star is None:
         raise SwapError("star revisits a face; colors cannot alternate")
-    cols = [col.colors[f] for f in star]
-    if any(a == b for a, b in zip(cols, cols[1:] + cols[:1])):
+    if not _alternates(col.colors, star):
         raise SwapError(f"star of vertex {v} does not alternate")
     return col.flipped(star)
 
 
 def swappable_vertices(col: FaceColoring) -> list[int]:
-    c = col.complex
-    out = []
-    for v in range(c.vertex_count):
-        if c.vertices[v].degree != 6:
-            continue
-        star = c.vertex_star(v)
-        if len(set(star)) != 6:
-            continue
-        cols = [col.colors[f] for f in star]
-        if all(a != b for a, b in zip(cols, cols[1:] + cols[:1])):
-            out.append(v)
-    return out
+    """The vertices vertex_swap applies to, ascending."""
+    return _star_table(col.complex).swappable(col.colors)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +145,7 @@ class _Tables:
     def __init__(self, c: QuotientComplex):
         self.c = c
         self.F = c.face_count
-        self.neighbors = [[f2 for f2, _ in row] for row in c.pairing]
-        self.face_vertices = c.face_vertices
+        neighbors = [[f2 for f2, _ in row] for row in c.pairing]
         self.vtotal = [v.degree for v in c.vertices]
         deg2 = min(v for v in range(c.vertex_count) if c.vertices[v].degree == 2)
         start = sorted(f for f in range(self.F) if deg2 in c.face_vertices[f])
@@ -87,11 +154,19 @@ class _Tables:
         while len(order) < self.F:
             f = order[i]
             i += 1
-            for g in self.neighbors[f]:
+            for g in neighbors[f]:
                 if g not in seen:
                     seen.add(g)
                     order.append(g)
         self.order = order
+        pos = [0] * self.F
+        for k, f in enumerate(order):
+            pos[f] = k
+        # per face: its distinct vertices with their corner multiplicity, and
+        # one entry per side glued to a face colored before it in `order`
+        self.corners = [tuple(Counter(ids).items()) for ids in c.face_vertices]
+        self.earlier = [tuple(g for g in neighbors[f] if pos[g] < pos[f])
+                        for f in range(self.F)]
 
 
 class _Budget:
@@ -109,73 +184,78 @@ class _Budget:
 
 
 class _Dfs:
-    """Backtracking over good colorings with optional fold bounding."""
+    """Backtracking over good colorings with optional fold bounding.
+
+    Per vertex it keeps u, the corners still uncolored, and x, black minus
+    white corners.  Goodness needs x = 0 (mod 3) once u = 0, so a vertex
+    stays completable unless u = 0 with x != 0, or u = 1 with x = 0
+    (mod 3): one more corner moves x by exactly 1.
+    """
 
     def __init__(self, tables: _Tables):
         self.t = tables
-        F = tables.F
-        self.colors = [-1] * F
-        self.vb = [0] * len(tables.vtotal)
-        self.vw = [0] * len(tables.vtotal)
-        self.vn = [0] * len(tables.vtotal)
+        self.colors = [-1] * tables.F
+        self.u = list(tables.vtotal)
+        self.x = [0] * len(tables.vtotal)
         self.nb = 0
         self.nw = 0
 
-    def _feasible(self, v: int) -> bool:
-        u = self.t.vtotal[v] - self.vn[v]
-        b, w = self.vb[v], self.vw[v]
-        if u == 0:
-            return (b - w) % 3 == 0
-        return ((u + w - b) * 2) % 3 <= u
-
     def _assign(self, f: int, color: int) -> bool:
+        """Color face f; False if one of its vertices became infeasible."""
         self.colors[f] = color
-        ok = True
-        for v in self.t.face_vertices[f]:
-            self.vn[v] += 1
-            if color == BLACK:
-                self.vb[v] += 1
-            else:
-                self.vw[v] += 1
         if color == BLACK:
             self.nb += 1
+            s = 1
         else:
             self.nw += 1
-        for v in set(self.t.face_vertices[f]):
-            if not self._feasible(v):
+            s = -1
+        u, x = self.u, self.x
+        ok = True
+        for v, m in self.t.corners[f]:
+            r = u[v] = u[v] - m
+            y = x[v] = x[v] + s * m
+            if r < 2 and (y % 3 == 0) != (r == 0):
                 ok = False
-                break
         return ok
 
     def _unassign(self, f: int, color: int) -> None:
         self.colors[f] = -1
-        for v in self.t.face_vertices[f]:
-            self.vn[v] -= 1
-            if color == BLACK:
-                self.vb[v] -= 1
-            else:
-                self.vw[v] -= 1
         if color == BLACK:
             self.nb -= 1
+            s = 1
         else:
             self.nw -= 1
+            s = -1
+        u, x = self.u, self.x
+        for v, m in self.t.corners[f]:
+            u[v] += m
+            x[v] -= s * m
 
-    def _fold_delta(self, f: int, color: int) -> int:
-        d = 0
-        for g in self.t.neighbors[f]:
-            cg = self.colors[g]
-            if cg >= 0 and cg != color:
-                d += 1
-        return d
+    def _fold_deltas(self, f: int) -> tuple[int, int]:
+        """Folds that coloring f black, resp. white, adds to the colored part."""
+        colors = self.colors
+        earlier = self.t.earlier[f]
+        blacks = 0
+        for g in earlier:
+            blacks += colors[g]  # colored faces hold BLACK = 1 or WHITE = 0
+        return len(earlier) - blacks, blacks
+
+    def _prefix(self, k: int) -> str:
+        order, colors = self.t.order, self.colors
+        return "".join("1" if colors[order[i]] == BLACK else "0" for i in range(k))
 
     def replay_prefix(self, bits: str) -> tuple[int, int] | None:
         """Assign the first len(bits) faces of the order; None if infeasible."""
         folds = 0
+        half = self.t.F // 2
         for k, ch in enumerate(bits):
             f = self.t.order[k]
-            color = BLACK if ch == "1" else WHITE
-            folds += self._fold_delta(f, color)
-            if not self._assign(f, color) or self.nb > self.t.F // 2 or self.nw > self.t.F // 2:
+            d_black, d_white = self._fold_deltas(f)
+            if ch == "1":
+                color, folds = BLACK, folds + d_black
+            else:
+                color, folds = WHITE, folds + d_white
+            if not self._assign(f, color) or self.nb > half or self.nw > half:
                 return None
         return len(bits), folds
 
@@ -185,43 +265,51 @@ class _Dfs:
 
         When the budget runs out, every untried branch is appended to
         `frontier` as (prefix bits, folds so far) and False is returned.
+        An emit that returns true stops the search, which then returns None.
+        value_order(black folds, white folds) gives the order of the two
+        colors at a node; by default white is tried first.
         """
         t = self.t
         budget.nodes += 1
         if bound[0] is not None and folds > bound[0]:
             return True
         if k == t.F:
-            emit(tuple(self.colors), folds)
-            return True
+            return None if emit(tuple(self.colors), folds) else True
         if budget.spent():
-            frontier.append(("".join("1" if self.colors[t.order[i]] == BLACK else "0"
-                                     for i in range(k)), folds))
+            frontier.append((self._prefix(k), folds))
             return False
         f = t.order[k]
+        d_black, d_white = self._fold_deltas(f)
         if k == 0:
             choices = (BLACK,)
         elif value_order is None:
             choices = (WHITE, BLACK)
         else:
-            choices = value_order(self, f)
+            choices = value_order(d_black, d_white)
         complete = True
         half = t.F // 2
-        for idx, color in enumerate(choices):
+        for color in choices:
             if not complete:
                 # budget died in an earlier sibling: record the rest
-                bits = "".join("1" if self.colors[t.order[i]] == BLACK else "0"
-                               for i in range(k))
-                frontier.append((bits + ("1" if color == BLACK else "0"), folds))
+                frontier.append((self._prefix(k) + ("1" if color == BLACK else "0"), folds))
                 continue
-            if (color == BLACK and self.nb >= half) or (color == WHITE and self.nw >= half):
-                continue
-            d = self._fold_delta(f, color)
-            ok = self._assign(f, color)
-            if ok:
-                if not self.search(k + 1, folds + d, bound, budget, emit, frontier,
-                                   value_order):
-                    complete = False
+            if color == BLACK:
+                if self.nb >= half:
+                    continue
+                d = d_black
+            else:
+                if self.nw >= half:
+                    continue
+                d = d_white
+            res = True
+            if self._assign(f, color):
+                res = self.search(k + 1, folds + d, bound, budget, emit, frontier,
+                                  value_order)
             self._unassign(f, color)
+            if res is not True:
+                if res is None:
+                    return None
+                complete = False
         return complete
 
 
@@ -321,7 +409,13 @@ def _threads_cap(requested: int | None) -> int:
     n = requested if requested and requested > 0 else 1
     env = os.environ.get("EISENFOLD_THREADS")
     if env:
-        n = min(n, max(1, int(env)))
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise DomainError(f"EISENFOLD_THREADS must be a positive integer, got {env!r}")
+        n = min(n, cap)
     return n
 
 
@@ -487,10 +581,18 @@ def _expand_prefixes(tables: _Tables, depth: int) -> list[str]:
     return out
 
 
+# the parent's tables, inherited by each forked worker of _exact_parallel
+_worker_tables: _Tables | None = None
+
+
+def _init_worker(tables: _Tables) -> None:
+    global _worker_tables
+    _worker_tables = tables
+
+
 def _worker_exact(args):
-    beta_pair, prefix, inc_fold, max_nodes, max_seconds = args
-    c = QuotientComplex(EisensteinInt(*beta_pair))
-    tables = _Tables(c)
+    prefix, inc_fold, max_nodes, max_seconds = args
+    tables = _worker_tables
     bound = [inc_fold]
     ties: list[tuple[int, ...]] = []
     bud = _Budget(max_nodes, max_seconds)
@@ -518,12 +620,14 @@ def _exact_parallel(c, tables, inc_fold, inc_colors, budget, nthreads, nodes_car
     depth = min(_SPLIT_DEPTH, tables.F - 1)
     prefixes = _expand_prefixes(tables, depth)
     args = [
-        ((c.beta.a, c.beta.b), p, inc_fold,
+        (p, inc_fold,
          budget.max_nodes if budget else None,
          budget.max_seconds if budget else None)
         for p in prefixes
     ]
-    with mp.get_context("fork").Pool(nthreads) as pool:
+    # under fork, initargs reach the workers by inheritance, not pickling
+    with mp.get_context("fork").Pool(nthreads, initializer=_init_worker,
+                                     initargs=(tables,)) as pool:
         results = pool.map(_worker_exact, args)
     best_fold = inc_fold
     ties = [inc_colors]
@@ -556,25 +660,17 @@ def _exact_parallel(c, tables, inc_fold, inc_colors, budget, nthreads, nodes_car
 
 def _random_good_coloring(tables: _Tables, rng: random.Random):
     """One random leaf of the good-coloring tree (randomized value order)."""
-    dfs = _Dfs(tables)
     hit = []
 
-    def value_order(d, f):
+    def value_order(d_black, d_white):
         return (BLACK, WHITE) if rng.random() < 0.5 else (WHITE, BLACK)
 
     def emit(cols, folds):
         hit.append(cols)
-        raise _StopSearch
+        return True  # stop at the first leaf
 
-    try:
-        dfs.search(0, 0, [None], _Budget(), emit, [], value_order)
-    except _StopSearch:
-        pass
+    _Dfs(tables).search(0, 0, [None], _Budget(), emit, [], value_order)
     return hit[0] if hit else None
-
-
-class _StopSearch(Exception):
-    pass
 
 
 def _anytime_search(c, budget, seed):
@@ -586,9 +682,7 @@ def _anytime_search(c, budget, seed):
 
     # value-ordered branch-and-bound prefix: prefer the color agreeing with
     # already-colored neighbors, so low-fold leaves appear early
-    def greedy_order(dfs: _Dfs, f: int):
-        black_folds = dfs._fold_delta(f, BLACK)
-        white_folds = dfs._fold_delta(f, WHITE)
+    def greedy_order(black_folds: int, white_folds: int):
         return (BLACK, WHITE) if black_folds <= white_folds else (WHITE, BLACK)
 
     bound = [inc_fold]
@@ -605,34 +699,36 @@ def _anytime_search(c, budget, seed):
     complete = dfs.search(0, 0, bound, bud, emit, [], greedy_order)
 
     # simulated annealing over star swaps, with restarts; stop early after
-    # a stretch of restarts that bring no improvement
-    current = FaceColoring(c, best[0])
+    # a stretch of restarts that bring no improvement.  The coloring, its
+    # fold count and its swappable vertices are updated in place per swap.
+    stars = _star_table(c)
+    colors = list(best[0])
     cur_fold = bound[0]
     stale_rounds = 0
     while time.monotonic() < deadline and not complete and stale_rounds < 8:
         round_best = bound[0]
         temp = 2.0
+        options = stars.swappable(colors)
         for _ in range(400):
             if time.monotonic() > deadline:
                 break
-            options = swappable_vertices(current)
             if not options:
                 break
             v = rng.choice(options)
-            trial = vertex_swap(current, v)
-            tf = fold_count(trial)
+            tf = cur_fold + stars.fold_delta(colors, v)
             if tf <= cur_fold or rng.random() < pow(2.718, -(tf - cur_fold) / temp):
-                current, cur_fold = trial, tf
+                stars.swap(colors, v, options)
+                cur_fold = tf
                 if tf < bound[0]:
                     bound[0] = tf
-                    best[0] = trial.colors
+                    best[0] = tuple(colors)
             temp = max(0.05, temp * 0.995)
         stale_rounds = stale_rounds + 1 if bound[0] == round_best else 0
         cols = _random_good_coloring(tables, rng)
         if cols is None:
             break
-        current = FaceColoring(c, cols)
-        cur_fold = fold_count(current)
+        colors = list(cols)
+        cur_fold = fold_count(FaceColoring(c, cols))
 
     return SearchReport(
         beta=c.beta,

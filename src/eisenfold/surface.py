@@ -62,8 +62,12 @@ class VertexOrbit:
 class QuotientComplex:
     """Faces, edge pairings, and vertex orbits of the quotient sphere.
 
-    Immutable after construction; safe to share across concurrent readers.
+    Immutable after construction, apart from the vertex -> (face, corner)
+    start index that the first `vertex_star` call fills in; safe to share
+    across concurrent readers (racing readers build equal indexes).
     """
+
+    _star_starts: list[tuple[int, int]] | None = None
 
     def __init__(self, beta: EisensteinInt):
         if beta.is_zero():
@@ -209,17 +213,21 @@ class QuotientComplex:
         return sorted(v.degree for v in self.vertices)
 
     def vertex_star(self, v: int) -> list[int]:
-        """Faces around vertex v in cyclic order (length = degree)."""
-        start = None
-        for f, ids in enumerate(self.face_vertices):
-            for c in range(3):
-                if ids[c] == v:
-                    start = (f, c)
-                    break
-            if start:
-                break
-        if start is None:
+        """Faces around vertex v in cyclic order (length = degree).
+
+        The walk starts at v's first corner in face order.
+        """
+        if not 0 <= v < self.vertex_count:
             raise DomainError(f"no such vertex {v}")
+        starts = self._star_starts
+        if starts is None:
+            starts = [None] * self.vertex_count
+            for f, ids in enumerate(self.face_vertices):
+                for c, u in enumerate(ids):
+                    if starts[u] is None:
+                        starts[u] = (f, c)
+            self._star_starts = starts
+        start = starts[v]
         cycle = []
         f, c = start
         while True:

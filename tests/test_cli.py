@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import eisenfold
 from eisenfold.cli import cli_main
 
 
@@ -63,6 +69,23 @@ def test_validate_all_black_is_bad(tmp_path, capsys):
     assert json.loads(out)["good"] is False
 
 
+def test_validate_rejects_non_binary_colors(tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    doc = {
+        "schema": "coloring.v1",
+        "complex_ref": {"beta": [1, 2]},
+        "colors": "0000111x110011",
+        "fold_count": 13,
+        "eta": [169, 14],
+        "good": True,
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out = run(capsys, "validate", "--in", path)
+    assert code == 1
+    assert out == ""
+
+
 def test_eta_limit_golden(capsys):
     code, out = run(capsys, "eta-limit", "--zeta", "golden")
     assert code == 0
@@ -89,6 +112,17 @@ def test_search_budget_exit_2(capsys):
     code, out = run(capsys, "search", "--beta", "1,5", "--max-nodes", "500")
     assert code == 2
     assert json.loads(out)["status"] == "Incumbent"
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+def test_search_malformed_threads_env(monkeypatch, capsys, value):
+    monkeypatch.setenv("EISENFOLD_THREADS", value)
+    code = cli_main(["search", "--beta", "1,2", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_sweep_ie_cli(capsys):
@@ -118,3 +152,13 @@ def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_module_entry_point_without_runtime_warning():
+    src = os.path.dirname(os.path.dirname(eisenfold.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "eisenfold.cli", "selftest"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS") == 3

@@ -1,8 +1,10 @@
 import os
+import random
 
 import pytest
 
 from eisenfold.coloring import (
+    FaceColoring,
     alternating_coloring,
     continued_fraction_coloring,
     fold_count,
@@ -18,8 +20,10 @@ from eisenfold.search import (
     ie_sweep,
     iter_good_colorings,
     min_fold_search,
+    swappable_vertices,
     vertex_swap,
 )
+from eisenfold.search import _star_table
 from eisenfold.surface import build_complex
 
 
@@ -76,6 +80,55 @@ def test_vertex_swap_inapplicable():
     deg2 = next(v for v in range(c.vertex_count) if c.vertices[v].degree == 2)
     with pytest.raises(SwapError):
         vertex_swap(col, deg2)
+
+
+def _swappable_by_scan(col):
+    """Oracle: degree-6 vertices whose star has six distinct, alternating faces."""
+    c = col.complex
+    out = []
+    for v in range(c.vertex_count):
+        if c.vertices[v].degree != 6:
+            continue
+        star = c.vertex_star(v)
+        ring = [col.colors[f] for f in star]
+        if len(set(star)) == 6 and all(a != b for a, b in zip(ring, ring[1:] + ring[:1])):
+            out.append(v)
+    return out
+
+
+def test_incremental_star_swaps_match_recomputation():
+    c = build_complex(EisensteinInt(8, 13))
+    stars = _star_table(c)
+    rng = random.Random(13)
+    colors = list(alternating_coloring(c).colors)
+    options = stars.swappable(colors)
+    folds = fold_count(FaceColoring(c, tuple(colors)))
+    for _ in range(200):
+        v = rng.choice(options)
+        folds += stars.fold_delta(colors, v)
+        before = FaceColoring(c, tuple(colors))
+        stars.swap(colors, v, options)
+        col = FaceColoring(c, tuple(colors))
+        assert col.colors == vertex_swap(before, v).colors
+        assert options == swappable_vertices(col) == _swappable_by_scan(col)
+        assert folds == fold_count(col)
+    assert is_good(col).good
+
+
+# (nodes_explored, best coloring) of the serial exact search; a change to the
+# search tree or to the tie-break shows up here
+EXACT_PINS = {
+    (1, 2): (239, "00001110110011"),
+    (2, 3): (30_323, "00000011100111000011111011100010011011"),
+    (1, 4): (111_521, "000111000110111011110000001011101100100101"),
+}
+
+
+@pytest.mark.parametrize("beta", sorted(EXACT_PINS))
+def test_exact_search_tree_is_pinned(beta):
+    rep = min_fold_search(build_complex(EisensteinInt(*beta)), mode="exact", threads=1)
+    assert rep.status == "ProvedOptimal"
+    assert (rep.nodes_explored, rep.best_coloring.bitstring()) == EXACT_PINS[beta]
 
 
 def test_exact_search_1_2():

@@ -106,6 +106,36 @@ def test_vertex_star_cycles():
             assert v in c.face_vertices[f]
 
 
+def _vertex_star_by_scan(c, v):
+    """Oracle: the star walked from v's first corner, found by scanning faces."""
+    start = next((f, k) for f, ids in enumerate(c.face_vertices)
+                 for k in range(3) if ids[k] == v)
+    cycle = []
+    f, k = start
+    while True:
+        cycle.append(f)
+        f2, s2 = c.pairing[f][k]  # side k runs from corner k to k+1
+        k2 = s2 if c.face_vertices[f2][s2] == v else (s2 + 1) % 3
+        assert c.face_vertices[f2][k2] == v, "vertex walk left the star"
+        f, k = f2, k2
+        if (f, k) == start:
+            break
+        assert len(cycle) <= c.vertices[v].degree, "vertex star does not close up"
+    assert len(cycle) == c.vertices[v].degree
+    return cycle
+
+
+@pytest.mark.parametrize("beta", [(1, 0), (1, 1), (0, 2), (1, 2), (0, 3), (2, 3), (2, 4),
+                                  (3, 3), (5, 8)])
+def test_vertex_star_matches_face_scan(beta):
+    c = build_complex(EisensteinInt(*beta))
+    for v in range(c.vertex_count):
+        assert c.vertex_star(v) == _vertex_star_by_scan(c, v)
+    for v in (-1, c.vertex_count):
+        with pytest.raises(DomainError):
+            c.vertex_star(v)
+
+
 def test_non_primitive_beta_supported():
     c = build_complex(EisensteinInt(0, 2))  # 2*alpha, canonical (0, 2)
     assert c.face_count == 8
