@@ -63,9 +63,17 @@ def _cmd_color(args) -> int:
     return 0
 
 
+def _read_coloring(path: str):
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DomainError(f"{path} is not a JSON document: {exc}") from exc
+    return from_json_dict(doc)
+
+
 def _cmd_validate(args) -> int:
-    with open(args.infile) as fh:
-        col = from_json_dict(json.load(fh))
+    col = _read_coloring(args.infile)
     rep = is_good(col)
     black, white = color_balance(col)
     doc = {
@@ -82,8 +90,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_eta(args) -> int:
     if args.infile:
-        with open(args.infile) as fh:
-            col = from_json_dict(json.load(fh))
+        col = _read_coloring(args.infile)
     else:
         col = continued_fraction_coloring(_parse_beta(args.beta))
     value = coloring_eta(col)
@@ -158,10 +165,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sweep_ie(args) -> int:
-    betas = []
-    for chunk in args.betas.split(";"):
-        a, b = (int(x) for x in chunk.split(","))
-        betas.append((a, b))
+    betas = [_parse_beta(chunk).pair() for chunk in args.betas.split(";")]
     rep = ie_sweep(betas, args.b_max)
     doc = {
         "schema": "ie-sweep.v1",
@@ -201,9 +205,9 @@ def _cmd_selftest(args) -> int:
     def check(name, fn):
         try:
             fn()
-            checks.append((name, True))
-        except Exception:
-            checks.append((name, False))
+            checks.append((name, None))
+        except Exception as exc:  # a failing check is reported, not raised
+            checks.append((name, f"{type(exc).__name__}: {exc}"))
 
     def fib_rows():
         for beta, f, F in [((1, 2), 13, 14), ((2, 3), 23, 38), ((3, 5), 39, 98)]:
@@ -222,9 +226,9 @@ def _cmd_selftest(args) -> int:
     check("fibonacci-table", fib_rows)
     check("golden-eta-limit", golden_limit)
     check("exact-search-1-2", tiny_search)
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-    return 0 if all(ok for _, ok in checks) else 1
+    for name, failure in checks:
+        print(f"PASS {name}" if failure is None else f"FAIL {name}: {failure}")
+    return 0 if all(failure is None for _, failure in checks) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
-from .surface import DOWN, UP, PlaneTriangleId, QuotientComplex, plane_neighbor
+from .surface import DOWN, UP, QuotientComplex, plane_neighbor
 
 
 class GoodnessError(ValueError):
@@ -77,6 +77,7 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
     F = c.face_count
     colors = [-1] * F
     counts = [0] * F
+    face_at = c.face_at
 
     def assign(face: int, color: int) -> None:
         if colors[face] not in (-1, color):
@@ -87,11 +88,8 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
     for kind, data, color in cf.regions():
         if kind == "fill":
             x, y = data
-            if x % 3 == 1:
-                tri = PlaneTriangleId(EisensteinInt((x - 1) // 3, (y - 1) // 3), UP)
-            else:
-                tri = PlaneTriangleId(EisensteinInt((x - 2) // 3, (y - 2) // 3), DOWN)
-            assign(c.project(tri), color)
+            o = UP if x % 3 == 1 else DOWN  # tripled centroid 3z + (1 + o)(1 + alpha)
+            assign(face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o), color)
             continue
         quad = data
         xs = [p[0] for p in quad]
@@ -101,7 +99,7 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
                 for o, (ox, oy) in ((UP, (1, 1)), (DOWN, (2, 2))):
                     px, py = 3 * a + ox, 3 * b + oy
                     if _in_quad(quad, px, py):
-                        assign(c.project(PlaneTriangleId(EisensteinInt(a, b), o)), color)
+                        assign(face_at(a, b, o), color)
     if any(n != 3 for n in counts):
         raise AssertionError("tile partition did not cover each face exactly 3 times")
     return FaceColoring(c, tuple(colors))
@@ -347,6 +345,7 @@ def _tri_sides(anchor: tuple[int, int], o: int):
 
 
 def _develop(c: QuotientComplex, colors, region: frozenset[int]):
+    face_at = c.face_at
     seed = min(region)
     t0 = c.lift(seed)
     placed: dict[int, tuple[tuple[int, int], int]] = {
@@ -358,7 +357,7 @@ def _develop(c: QuotientComplex, colors, region: frozenset[int]):
         anchor, o = placed[f]
         for s in range(3):
             (na, nb), no, _ = plane_neighbor(anchor, o, s)
-            f2 = c.project(PlaneTriangleId(EisensteinInt(na, nb), no))
+            f2 = face_at(na, nb, no)
             if f2 not in region:
                 continue
             spot = ((na, nb), no)
@@ -428,7 +427,7 @@ def to_json_dict(col: FaceColoring) -> dict:
 
 
 def from_json_dict(doc: dict) -> FaceColoring:
-    if doc.get("schema") != "coloring.v1":
+    if not isinstance(doc, dict) or doc.get("schema") != "coloring.v1":
         raise DomainError("expected a coloring.v1 document")
     ba, bb = (int(x) for x in doc["complex_ref"]["beta"])
     c = QuotientComplex(EisensteinInt(ba, bb))

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import gcd
 
 from .eisenstein import DomainError, EisensteinInt, canonical, is_primitive
-from .flower import BLACK, capped_flower, empty_flower
+from .coloring import continued_fraction_coloring
+from .flower import BLACK, empty_flower
 from .surface import DOWN, UP, PlaneTriangleId, plane_neighbor
 
 _SQ3_2 = 3 ** 0.5 / 2
@@ -59,8 +60,11 @@ def render_svg(spec: RenderSpec) -> str:
     if spec.colored:
         if not is_primitive(beta) or beta.a < 1:
             raise DomainError("colored renders need primitive beta with 1 <= a <= b")
-        cf = capped_flower(beta)
-        color_of = cf.color_at
+        col = continued_fraction_coloring(beta)
+        colors, face_at = col.colors, col.complex.face_at
+
+        def color_of(a: int, b: int, o: int) -> int:
+            return colors[face_at(a, b, o)]
     else:
         color_of = None
     delta = EisensteinInt(2, -1) * beta
@@ -95,15 +99,15 @@ def render_svg(spec: RenderSpec) -> str:
         pts = [_xy(v.a, v.b, scale) for v in t.vertices()]
         xs.extend(p[0] for p in pts)
         ys.extend(p[1] for p in pts)
-        fill = _FILL[color_of(t)] if color_of else "#FFFFFF"
+        fill = _FILL[color_of(a, b, o)] if color_of else "#FFFFFF"
         polys.append((pts, fill))
 
     folds = []
     if spec.show_folds and color_of:
         seen = set()
         for a, b, o in tris:
-            t = PlaneTriangleId(EisensteinInt(a, b), o)
-            verts = t.vertices()
+            verts = PlaneTriangleId(EisensteinInt(a, b), o).vertices()
+            here = color_of(a, b, o)
             for s in range(3):
                 p, q = verts[s], verts[(s + 1) % 3]
                 key = frozenset((p.pair(), q.pair()))
@@ -115,8 +119,7 @@ def render_svg(spec: RenderSpec) -> str:
                 if not (0 <= m < 2 * n * dom and 0 <= k < 2 * n * dom):
                     continue
                 (na, nb), no, _ = plane_neighbor((a, b), o, s)
-                other = PlaneTriangleId(EisensteinInt(na, nb), no)
-                if color_of(t) != color_of(other):
+                if here != color_of(na, nb, no):
                     folds.append((p, q))
         folds.sort(key=lambda e: (e[0].a, e[0].b, e[1].a, e[1].b))
         for p, q in folds:

@@ -658,8 +658,14 @@ def _exact_parallel(c, tables, inc_fold, inc_colors, budget, nthreads, nodes_car
     )
 
 
-def _random_good_coloring(tables: _Tables, rng: random.Random):
-    """One random leaf of the good-coloring tree (randomized value order)."""
+def _random_good_coloring(tables: _Tables, rng: random.Random, deadline: float):
+    """One random leaf of the good-coloring tree (randomized value order).
+
+    None when the deadline (a time.monotonic() value) passes first.
+    """
+    left = deadline - time.monotonic()
+    if left <= 0:
+        return None
     hit = []
 
     def value_order(d_black, d_white):
@@ -669,7 +675,7 @@ def _random_good_coloring(tables: _Tables, rng: random.Random):
         hit.append(cols)
         return True  # stop at the first leaf
 
-    _Dfs(tables).search(0, 0, [None], _Budget(), emit, [], value_order)
+    _Dfs(tables).search(0, 0, [None], _Budget(max_seconds=left), emit, [], value_order)
     return hit[0] if hit else None
 
 
@@ -724,7 +730,7 @@ def _anytime_search(c, budget, seed):
                     best[0] = tuple(colors)
             temp = max(0.05, temp * 0.995)
         stale_rounds = stale_rounds + 1 if bound[0] == round_best else 0
-        cols = _random_good_coloring(tables, rng)
+        cols = _random_good_coloring(tables, rng, deadline)
         if cols is None:
             break
         colors = list(cols)

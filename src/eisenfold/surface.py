@@ -8,6 +8,14 @@ the torus C/(delta*E) are grouped into rotation orbits, which become the
 faces of a sphere triangulation with face count 2*norm(beta), vertex count
 norm(beta) + 2, and exactly three vertices of degree 2.
 
+Every torus point has an integer index.  With the Hermite basis (h1, 0),
+(va, h2) of delta*E, where h1*h2 = norm(delta), the point a + b*alpha has
+index (b mod h2)*h1 + (a - floor(b/h2)*va) mod h1, so a plane triangle
+(a, b, orientation o) sits at torus face 2*index + o.  One flat table over
+these 2*norm(delta) slots gives each plane triangle's quotient face
+(`QuotientComplex.face_at`); building the complex, painting a coloring,
+developing its regions and rendering all look faces up there.
+
 Faces are indexed deterministically (sorted by reduced anchor, then
 orientation) so serialized output is bit-stable.
 """
@@ -62,6 +70,12 @@ class VertexOrbit:
 class QuotientComplex:
     """Faces, edge pairings, and vertex orbits of the quotient sphere.
 
+    Each of a face's three rotation copies has one anchor in the cell
+    {m/n delta + k/n delta*alpha : 0 <= m, k < n}, n = norm(delta); the
+    face is named by the lexicographically least of the three, and faces
+    are numbered in that order.  `face_at` maps any plane triangle to its
+    face through the torus index.
+
     Immutable after construction, apart from the vertex -> (face, corner)
     start index that the first `vertex_star` call fills in; safe to share
     across concurrent readers (racing readers build equal indexes).
@@ -78,85 +92,86 @@ class QuotientComplex:
 
     # -- construction -----------------------------------------------------
 
-    def _reduce(self, a: int, b: int) -> tuple[int, int]:
-        """Representative of a + b*alpha modulo delta*E (fundamental cell)."""
-        d1, d2 = self.delta.a, self.delta.b
-        n = self._norm_delta
-        m = a * (d1 + d2) + b * d2
-        k = b * d1 - a * d2
-        fu, fv = m // n, k // n
-        return (a - fu * d1 + fv * d2, b - fu * d2 - fv * (d1 + d2))
-
-    def _rotate_face(self, a: int, b: int, o: int) -> tuple[int, int, int]:
-        """Order-3 rotation z -> alpha^2 z on torus faces, anchor reduced."""
-        ra, rb = -a - b, a
-        if o == UP:
-            ra -= 1
-        else:
-            ra -= 2
-        ra, rb = self._reduce(ra, rb)
-        return (ra, rb, o)
-
     def _build(self) -> None:
         delta = self.delta
+        # canonical beta gives d1 = 2a + b > 0 and d2 = b - a >= 0
         d1, d2 = delta.a, delta.b
-        n = self._norm_delta = delta.norm()
+        n = delta.norm()
 
-        corners = [(0, 0), (d1, d2), (-d2, d1 + d2), (d1 - d2, d1 + 2 * d2)]
-        amin = min(c[0] for c in corners) - 1
-        amax = max(c[0] for c in corners) + 1
-        bmin = min(c[1] for c in corners) - 1
-        bmax = max(c[1] for c in corners) + 1
+        # Hermite basis (h1, 0), (va, h2) of delta*E from an extended gcd of
+        # the second coordinates d2 and d1 + d2 of delta and delta*alpha
+        r0, r1, x0, x1, y0, y1 = d2, d1 + d2, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+        h2, va = r0, x0 * d1 - y0 * d2  # x0*delta + y0*delta*alpha = (va, h2)
+        h1 = n // h2
+        self._h1, self._h2, self._va = h1, h2, va
+
+        def index(x: int, y: int) -> int:
+            q, j = divmod(y, h2)
+            return j * h1 + (x - q * va) % h1
+
+        # anchors of the fundamental cell {m/n delta + k/n delta*alpha : 0 <= m, k < n},
+        # scanned over its bounding box in lexicographic order, and the
+        # torus index of each
+        red: list[tuple[int, int] | None] = [None] * n
         anchors = []
-        for a in range(amin, amax + 1):
+        for a in range(-d2 - 1, d1 + 2):
             m_base = a * (d1 + d2)
             k_base = -a * d2
-            for b in range(bmin, bmax + 1):
-                if 0 <= m_base + b * d2 < n and 0 <= k_base + b * d1 < n:
-                    anchors.append((a, b))
+            for b in range(-1, d1 + 2 * d2 + 2):
+                if not (0 <= m_base + b * d2 < n and 0 <= k_base + b * d1 < n):
+                    continue
+                i = index(a, b)
+                if red[i] is not None:
+                    raise AssertionError(f"anchors {red[i]} and {(a, b)} share torus index {i}")
+                red[i] = (a, b)
+                anchors.append((a, b, i))
         if len(anchors) != n:
             raise AssertionError(f"found {len(anchors)} anchors, expected {n}")
 
-        # rotation orbits of torus faces; every orbit has exactly 3 members
-        torus: dict[tuple[int, int, int], tuple[int, int]] = {}
-        reps: list[tuple[int, int, int]] = []
-        for a, b in anchors:
+        # rotation orbits of torus faces 2i + o; every orbit has exactly 3
+        # members, and the first met in lexicographic order is the least
+        face_of = [-1] * (2 * n)
+        shift_of = [0] * (2 * n)
+        faces = []
+        for a, b, i in anchors:
             for o in (UP, DOWN):
-                if (a, b, o) in torus:
+                t0 = 2 * i + o
+                if face_of[t0] >= 0:
                     continue
-                t0 = (a, b, o)
-                t1 = self._rotate_face(*t0)
-                t2 = self._rotate_face(*t1)
-                orbit = (t0, t1, t2)
-                if len(set(orbit)) != 3 or self._rotate_face(*t2) != t0:
-                    raise AssertionError(f"degenerate rotation orbit at {t0}")
-                rep = min(orbit)
-                shift = orbit.index(rep)
-                for j, t in enumerate(orbit):
-                    # k = rotation applications carrying t onto rep; side
-                    # labels shift by +k under each application
-                    torus[t] = (len(reps), (shift - j) % 3)
-                reps.append(rep)
-        reps_sorted = sorted(reps)
-        renumber = {old: new for new, old in
-                    enumerate(sorted(range(len(reps)), key=lambda i: reps[i]))}
-        self._torus = {t: (renumber[f], k) for t, (f, k) in torus.items()}
-        self.faces = [
-            PlaneTriangleId(EisensteinInt(a, b), o) for (a, b, o) in reps_sorted
-        ]
-        self.face_count = len(self.faces)
+                orbit = [t0]
+                x, y = a, b
+                for _ in range(3):
+                    # z -> alpha^2 z carries the anchor z to alpha^2 z - 1 - o
+                    x, y = -x - y - 1 - o, x
+                    orbit.append(2 * index(x, y) + o)
+                if len(set(orbit[:3])) != 3 or orbit[3] != t0:
+                    raise AssertionError(f"degenerate rotation orbit at {(a, b, o)}")
+                f = len(faces)
+                # k = rotation applications carrying a member onto the
+                # representative; side labels shift by +k under each
+                for t, k in zip(orbit, (0, 2, 1)):
+                    face_of[t] = f
+                    shift_of[t] = k
+                faces.append(PlaneTriangleId(EisensteinInt(a, b), o))
+        self._face_of = face_of
+        self.faces = faces
+        self.face_count = len(faces)
         if self.face_count != 2 * self.beta.norm():
             raise AssertionError("face count must be 2*norm(beta)")
 
-        # edge pairing: cross each side in the plane, project, shift side by k
+        # edge pairing: cross each side in the plane, look the neighbour up,
+        # shift its side by k
         pairing: list[list[tuple[int, int]]] = []
-        for tri in self.faces:
+        for tri in faces:
             row = []
             pa, pb = tri.anchor.a, tri.anchor.b
             for s in range(3):
                 (na, nb), no, ns = plane_neighbor((pa, pb), tri.orientation, s)
-                f2, k = self._torus[(*self._reduce(na, nb), no)]
-                row.append((f2, (ns + k) % 3))
+                t = 2 * index(na, nb) + no
+                row.append((face_of[t], (ns + shift_of[t]) % 3))
             pairing.append(row)
         for i, row in enumerate(pairing):
             for s, (j, s2) in enumerate(row):
@@ -164,22 +179,27 @@ class QuotientComplex:
                     raise AssertionError("edge pairing is not a free involution")
         self.pairing = pairing
 
-        # vertex orbits under the residual rotation, with degrees
-        vid: dict[tuple[int, int], int] = {}
+        # vertex orbits under the residual rotation z -> alpha^2 z, numbered
+        # in order of first corner; each orbit is classified once
+        vid = [-1] * n
         vpoints: list[tuple[int, int]] = []
         degrees: list[int] = []
         face_vertices: list[tuple[int, int, int]] = []
-        for tri in self.faces:
+        for tri in faces:
             ids = []
             for p in tri.vertices():
-                key = self._vertex_class(p.a, p.b)
-                i = vid.get(key)
-                if i is None:
-                    i = vid[key] = len(vpoints)
-                    vpoints.append(key)
+                x, y = p.a, p.b
+                i = index(x, y)
+                v = vid[i]
+                if v < 0:
+                    v = len(vpoints)
+                    members = [i, index(-x - y, x), index(y, -x - y)]
+                    for m in members:
+                        vid[m] = v
+                    vpoints.append(min(red[m] for m in members))
                     degrees.append(0)
-                degrees[i] += 1
-                ids.append(i)
+                degrees[v] += 1
+                ids.append(v)
             face_vertices.append(tuple(ids))
         self.face_vertices = face_vertices
         self.vertices = [
@@ -192,13 +212,12 @@ class QuotientComplex:
         if flat[:3] != [2, 2, 2] or any(d != 6 for d in flat[3:]):
             raise AssertionError(f"unexpected degree multiset {flat}")
 
-    def _vertex_class(self, a: int, b: int) -> tuple[int, int]:
-        p0 = self._reduce(a, b)
-        p1 = self._reduce(-p0[0] - p0[1], p0[0])
-        p2 = self._reduce(-p1[0] - p1[1], p1[0])
-        return min(p0, p1, p2)
-
     # -- queries -----------------------------------------------------------
+
+    def face_at(self, a: int, b: int, o: int) -> int:
+        """Face index of the plane triangle anchored at a + b*alpha with orientation o."""
+        q, j = divmod(b, self._h2)
+        return self._face_of[2 * (j * self._h1 + (a - q * self._va) % self._h1) + o]
 
     def lift(self, face: int) -> PlaneTriangleId:
         """The canonical planar representative of a face (section of project)."""
@@ -206,8 +225,7 @@ class QuotientComplex:
 
     def project(self, tri: PlaneTriangleId) -> int:
         """Face index of any planar triangle's orbit; constant on orbits."""
-        key = (*self._reduce(tri.anchor.a, tri.anchor.b), tri.orientation)
-        return self._torus[key][0]
+        return self.face_at(tri.anchor.a, tri.anchor.b, tri.orientation)
 
     def degree_sequence(self) -> list[int]:
         return sorted(v.degree for v in self.vertices)

@@ -15,6 +15,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def _assert_one_error_line(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_build(capsys):
     code, out = run(capsys, "build", "--beta", "2,3")
     assert code == 0
@@ -117,12 +125,7 @@ def test_search_budget_exit_2(capsys):
 @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
 def test_search_malformed_threads_env(monkeypatch, capsys, value):
     monkeypatch.setenv("EISENFOLD_THREADS", value)
-    code = cli_main(["search", "--beta", "1,2", "--threads", "2"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    _assert_one_error_line(capsys, cli_main(["search", "--beta", "1,2", "--threads", "2"]))
 
 
 def test_sweep_ie_cli(capsys):
@@ -152,6 +155,41 @@ def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_selftest_names_the_failure(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("no limit today")
+
+    monkeypatch.setattr("eisenfold.cli.eta_limit_numeric", broken)
+    code, out = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL golden-eta-limit: RuntimeError: no limit today" in out.splitlines()
+    assert out.count("PASS") == 2
+
+
+def test_sweep_ie_malformed_betas(capsys):
+    _assert_one_error_line(capsys, cli_main(["sweep-ie", "--betas", "1,x", "--b-max", "10"]))
+
+
+@pytest.mark.parametrize("command", ["validate", "eta"])
+def test_non_json_input_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "coloring.json"
+    path.write_text("colors: 0101\n")
+    _assert_one_error_line(capsys, cli_main([command, "--in", str(path)]))
+
+
+def test_anytime_search_stops_at_its_deadline():
+    # the random restarts at (8,13) reach no leaf for a long time; they must
+    # stop with the run's deadline
+    src = os.path.dirname(os.path.dirname(eisenfold.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eisenfold.cli", "search", "--beta", "8,13",
+         "--mode", "anytime", "--max-seconds", "3"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "Incumbent"
 
 
 def test_module_entry_point_without_runtime_warning():

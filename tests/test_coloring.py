@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -217,3 +218,20 @@ def test_vertex_four_coloring_round_trips_every_good_coloring_1_2():
     for col in iter_good_colorings(c):
         vc = vertex_four_coloring(col)
         assert induced_face_coloring(c, vc).colors == col.colors
+
+
+# sha256 of canonical coloring.v1 JSON, recorded before paint looked faces
+# up through the torus index
+COLORING_PINS = {
+    (2, 3): "a1bcc0334dc570c1a3d9986bb936cc99de75bfc77ed7a92dcf560d2d9133a4ca",
+    (8, 13): "068a4273f508c777de99d5e77a45c9ccf92abe6ad815a91597ee265e1921317e",
+    (1, 29): "7a035d3eeed04444c5c7a887e41b0a7f3c8f870275432e461182fb0e1bccc9f4",
+}
+
+
+@pytest.mark.parametrize("beta", sorted(COLORING_PINS))
+def test_coloring_json_bytes_are_pinned(beta):
+    from eisenfold.jsonio import dumps
+
+    doc = dumps(to_json_dict(continued_fraction_coloring(EisensteinInt(*beta))))
+    assert hashlib.sha256(doc.encode()).hexdigest() == COLORING_PINS[beta]

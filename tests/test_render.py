@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -58,3 +59,18 @@ def test_flower_render_stripes_3_7():
 def test_flower_render_validates_aspect():
     with pytest.raises(DomainError):
         render_flower_svg(Fraction(3, 2))
+
+
+# sha256 of the default colored SVG, recorded while render still classified
+# each triangle through CappedFlower.color_at
+SVG_PINS = {
+    (2, 3): "383a61b4f87891dbc8498744fd661636ccc5eedfb6149bee3f774626e8ccc5dd",
+    (8, 13): "145180979583f23532e4e7326655dbc5b6740f49e64820bfb1998801684a92ed",
+    (1, 29): "b1de166ba6883cfac11ec3c1bead1e5dd75e4660dcd5512ddbe4e9804bfc6c8f",
+}
+
+
+@pytest.mark.parametrize("beta", sorted(SVG_PINS))
+def test_colored_svg_bytes_are_pinned(beta):
+    svg = render_svg(RenderSpec(beta=EisensteinInt(*beta)))
+    assert hashlib.sha256(svg.encode()).hexdigest() == SVG_PINS[beta]

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from math import gcd
 
 import pytest
@@ -154,3 +156,82 @@ def test_json_shape_and_determinism():
     assert len(d1["faces"]) == 38
     assert len(d1["pairing"]) == 57
     assert len(d1["vertices"]) == 21
+
+
+# sha256 of canonical complex.v1 JSON, recorded before the torus index
+# replaced the dict face map
+COMPLEX_PINS = {
+    (1, 0): "d1c4ef5ea6fdf76317bfc8d5c7c824dfa9c3774b36e12d70f90cadef8ce1c81c",
+    (0, 2): "ef26af8271502728134efa5fcdcbcc4c7759c01eb33ac31e59b0014f481a1da4",
+    (1, 4): "278792cc19ef6b16b4e150ef16e136331fbec94a8173f4129814e68122ada4fb",
+    (2, 5): "33c28772e9f0f000f4f322a2586918611c10b499205529afb0dec8858dc05dfc",
+    (3, 6): "a87765d0bc6360389ba6ce00f2d956f7a240f769e1e6a76e7b1c84ebd5abb28e",
+    (8, 13): "d04770586acf62ae0e4d5aa44ccf4a170b0a033cbddf65934c77f87103e791e5",
+    (-3, 5): "c5d7e389d7c5cd8d0ee9bcea408ede11f8dcb247c821860cac252828522db844",
+}
+
+
+@pytest.mark.parametrize("beta", sorted(COMPLEX_PINS))
+def test_complex_json_bytes_are_pinned(beta):
+    from eisenfold.jsonio import dumps
+
+    doc = dumps(build_complex(EisensteinInt(*beta)).to_json_dict())
+    assert hashlib.sha256(doc.encode()).hexdigest() == COMPLEX_PINS[beta]
+
+
+def _face_map_by_reduction(c):
+    """Oracle: the plane-to-face map as a dict over parallelogram-reduced anchors.
+
+    Torus faces are grouped into rotation orbits, each orbit is named by
+    its least member, and faces are numbered in sorted order of those names.
+    """
+    d1, d2 = c.delta.a, c.delta.b
+    n = c.delta.norm()
+
+    def reduce(a, b):
+        m = a * (d1 + d2) + b * d2
+        k = b * d1 - a * d2
+        fu, fv = m // n, k // n
+        return (a - fu * d1 + fv * d2, b - fu * d2 - fv * (d1 + d2))
+
+    def rotate(a, b, o):
+        return (*reduce(-a - b - 1 - o, a), o)
+
+    # the cell spanned by delta and delta*alpha holds the reduced anchors; its
+    # corners lie within 2(|d1| + |d2|) of the origin in each coordinate
+    R = 2 * (abs(d1) + abs(d2)) + 2
+    cell = {reduce(a, b) for a in range(-R, R) for b in range(-R, R)}
+    assert len(cell) == n
+    orbit_of = {}
+    for a, b in cell:
+        for o in (UP, DOWN):
+            t1 = rotate(a, b, o)
+            orbit_of[(a, b, o)] = min((a, b, o), t1, rotate(*t1))
+    number = {rep: f for f, rep in enumerate(sorted(set(orbit_of.values())))}
+    faces = {t: number[rep] for t, rep in orbit_of.items()}
+
+    def face(a, b, o):
+        return faces[(*reduce(a, b), o)]
+
+    return face, sorted(number)
+
+
+# (beta, h2): h2 = gcd(b - a, 3a) for canonical beta = a + b*alpha, so a
+# primitive beta has h2 = 3 when a = b (mod 3) and h2 = 1 otherwise
+@pytest.mark.parametrize("beta, h2", [
+    ((1, 0), 1), ((1, 2), 1), ((2, 3), 1), ((8, 13), 1), ((4, -1), 1),
+    ((1, 1), 3), ((1, 4), 3), ((2, 5), 3), ((-3, 5), 1),
+    ((0, 2), 2), ((2, 4), 2), ((3, 6), 3), ((3, 3), 9), ((6, 6), 18),
+])
+def test_face_at_matches_reduction_oracle(beta, h2):
+    c = build_complex(EisensteinInt(*beta))
+    assert c._h2 == h2 and c._h1 * c._h2 == c.delta.norm()
+    face, reps = _face_map_by_reduction(c)
+    assert [(t.anchor.a, t.anchor.b, t.orientation) for t in c.faces] == reps
+    rng = random.Random(0)
+    R = 3 * (abs(c.delta.a) + abs(c.delta.b)) + 4
+    for _ in range(2000):
+        a, b, o = rng.randint(-R, R), rng.randint(-R, R), rng.randint(0, 1)
+        f = face(a, b, o)
+        assert c.face_at(a, b, o) == f
+        assert c.project(PlaneTriangleId(EisensteinInt(a, b), o)) == f
