@@ -9,6 +9,7 @@ proper vertex 4-colorings, recovered here by deterministic propagation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -426,15 +427,33 @@ def to_json_dict(col: FaceColoring) -> dict:
     }
 
 
+def _json_int(x) -> int:
+    """An integer as jsonio.jint writes it: a JSON integer, or a decimal
+    string for one beyond 64 bits."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        try:
+            return int(x)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise DomainError(f"expected an integer, got {x!r}")
+
+
 def from_json_dict(doc: dict) -> FaceColoring:
     if not isinstance(doc, dict) or doc.get("schema") != "coloring.v1":
         raise DomainError("expected a coloring.v1 document")
-    ba, bb = (int(x) for x in doc["complex_ref"]["beta"])
-    c = QuotientComplex(EisensteinInt(ba, bb))
-    bits = doc["colors"]
+    ref = doc.get("complex_ref")
+    pair = ref.get("beta") if isinstance(ref, dict) else None
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise DomainError("complex_ref.beta must be a list of two integers")
+    beta = EisensteinInt(_json_int(pair[0]), _json_int(pair[1]))
+    bits = doc.get("colors")
     if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
         raise DomainError("colors must be a bitstring of 0s and 1s")
-    if len(bits) != c.face_count:
+    # T(beta) has 2 norm(beta) faces; checked before the complex is built
+    if len(bits) != 2 * beta.norm():
         raise DomainError("color bitstring length disagrees with face count")
+    c = QuotientComplex(beta)
     colors = tuple(BLACK if ch == "1" else WHITE for ch in bits)
     return FaceColoring(c, colors)

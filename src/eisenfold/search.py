@@ -19,7 +19,7 @@ import weakref
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .coloring import (
     FaceColoring,
@@ -170,15 +170,21 @@ class _Tables:
 
 
 class _Budget:
-    def __init__(self, max_nodes=None, max_seconds=None):
+    """A node budget and a deadline, an absolute time.monotonic() instant.
+
+    The clock is read on the first node and every 2048th after it, so a
+    search started after its deadline stops at once.
+    """
+
+    def __init__(self, max_nodes=None, deadline=None):
         self.max_nodes = max_nodes
-        self.deadline = time.monotonic() + max_seconds if max_seconds else None
+        self.deadline = deadline
         self.nodes = 0
 
     def spent(self) -> bool:
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
             return True
-        if self.deadline is not None and self.nodes % 2048 == 0:
+        if self.deadline is not None and self.nodes % 2048 == 1:
             return time.monotonic() > self.deadline
         return False
 
@@ -263,54 +269,77 @@ class _Dfs:
                value_order=None):
         """DFS from depth k; emit(colors, folds) at leaves with folds <= bound.
 
-        When the budget runs out, every untried branch is appended to
-        `frontier` as (prefix bits, folds so far) and False is returned.
-        An emit that returns true stops the search, which then returns None.
-        value_order(black folds, white folds) gives the order of the two
-        colors at a node; by default white is tried first.
+        Returns True when the subtree was exhausted.  When the budget runs
+        out, every untried branch is appended to `frontier` as (prefix bits,
+        folds so far) and False is returned.  An emit that returns true
+        stops the search, which then returns None and leaves the DFS state
+        as it was at that leaf.  value_order(black folds, white folds) gives
+        the order of the two colors at a node; by default white is tried
+        first.
+
+        The open nodes above the current one sit on an explicit stack, so
+        the depth is not limited by the interpreter's recursion limit.
         """
         t = self.t
-        budget.nodes += 1
-        if bound[0] is not None and folds > bound[0]:
-            return True
-        if k == t.F:
-            return None if emit(tuple(self.colors), folds) else True
-        if budget.spent():
-            frontier.append((self._prefix(k), folds))
-            return False
-        f = t.order[k]
-        d_black, d_white = self._fold_deltas(f)
-        if k == 0:
-            choices = (BLACK,)
-        elif value_order is None:
-            choices = (WHITE, BLACK)
-        else:
-            choices = value_order(d_black, d_white)
-        complete = True
-        half = t.F // 2
-        for color in choices:
-            if not complete:
-                # budget died in an earlier sibling: record the rest
-                frontier.append((self._prefix(k) + ("1" if color == BLACK else "0"), folds))
-                continue
-            if color == BLACK:
-                if self.nb >= half:
-                    continue
-                d = d_black
-            else:
-                if self.nw >= half:
-                    continue
-                d = d_white
-            res = True
-            if self._assign(f, color):
-                res = self.search(k + 1, folds + d, bound, budget, emit, frontier,
-                                  value_order)
-            self._unassign(f, color)
-            if res is not True:
-                if res is None:
+        F, order, half = t.F, t.order, t.F // 2
+        # per open node: depth, face, choices, next choice, folds, fold deltas,
+        # whether its subtree is still complete, and the color below it
+        stack = []
+        while True:
+            budget.nodes += 1
+            if bound[0] is not None and folds > bound[0]:
+                done = True
+            elif k == F:
+                if emit(tuple(self.colors), folds):
                     return None
-                complete = False
-        return complete
+                done = True
+            elif budget.spent():
+                frontier.append((self._prefix(k), folds))
+                done = False
+            else:
+                f = order[k]
+                d_black, d_white = self._fold_deltas(f)
+                if k == 0:
+                    choices = (BLACK,)
+                elif value_order is None:
+                    choices = (WHITE, BLACK)
+                else:
+                    choices = value_order(d_black, d_white)
+                i, complete, done = 0, True, None
+            while True:
+                if done is not None:
+                    # the node at depth k is finished: resume its parent
+                    if not stack:
+                        return done
+                    k, f, choices, i, folds, d_black, d_white, complete, color = stack.pop()
+                    self._unassign(f, color)
+                    if not done:
+                        complete = False
+                while i < len(choices):
+                    color = choices[i]
+                    i += 1
+                    if not complete:
+                        # budget died in an earlier sibling: record the rest
+                        frontier.append((self._prefix(k) + ("1" if color == BLACK else "0"),
+                                         folds))
+                        continue
+                    if color == BLACK:
+                        if self.nb >= half:
+                            continue
+                        d = d_black
+                    else:
+                        if self.nw >= half:
+                            continue
+                        d = d_white
+                    if self._assign(f, color):
+                        break
+                    self._unassign(f, color)
+                else:
+                    done = complete
+                    continue
+                stack.append((k, f, choices, i, folds, d_black, d_white, complete, color))
+                k, folds = k + 1, folds + d
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +357,8 @@ def iter_good_colorings(c: QuotientComplex):
 
     Each DFS leaf (first face black) is yielded followed by its global swap.
     """
-    tables = _Tables(c)
-    found: list[tuple[int, ...]] = []
-
-    dfs = _Dfs(tables)
-    budget = _Budget()
-    bound = [None]
     stash = []
-    dfs.search(0, 0, bound, budget, lambda cols, folds: stash.append(cols), [])
+    _Dfs(_Tables(c)).search(0, 0, [None], _Budget(), lambda cols, folds: stash.append(cols), [])
     for cols in stash:
         col = FaceColoring(c, cols)
         yield col
@@ -438,6 +461,17 @@ def _lex_best(candidates: list[tuple[int, ...]]) -> tuple[int, ...]:
     return min(full)
 
 
+def _fold_floor(F: int) -> int:
+    """L: the least f with f^2 >= 3F and f = F/2 (mod 2), a lower bound on
+    the fold count of every balanced good coloring of a complex with F faces.
+
+    f^2 >= 3F is the eta >= 3 chain of `isoperimetric`; the parity follows
+    from 3F/2 = 2 e_bb + f, where e_bb counts edges between two black faces.
+    """
+    f = isqrt(3 * F - 1) + 1
+    return f + (f - F // 2) % 2
+
+
 def min_fold_search(
     c: QuotientComplex,
     mode: str = "exact",
@@ -452,18 +486,35 @@ def min_fold_search(
     exact: branch and bound to exhaustion (ProvedOptimal) or to the budget
     (Incumbent, with the proven lower bound from the open frontier).
     anytime: value-ordered branch-and-bound prefix plus simulated annealing
-    over star swaps with restarts; always reports Incumbent unless the
-    prefix happened to exhaust the tree.
+    over star swaps with restarts; reports Incumbent unless the prefix
+    happened to exhaust the tree.
+    Both modes report ProvedOptimal when the best fold meets the floor
+    `_fold_floor`, and never a lower bound below it.  `budget.max_seconds`
+    is one deadline for the whole run, every worker included.
     """
     if mode not in ("exact", "anytime"):
         raise DomainError(f"unknown mode {mode!r}")
     t0 = time.monotonic()
     nthreads = _threads_cap(threads)
+    max_nodes = budget.max_nodes if budget else None
+    seconds = budget.max_seconds if budget else None
     if mode == "exact":
-        report = _exact_search(c, budget, nthreads, checkpoint_out, resume)
+        deadline = t0 + seconds if seconds else None
+        best_fold, best, complete, nodes, lb = _exact_search(
+            c, max_nodes, deadline, nthreads, checkpoint_out, resume)
     else:
-        report = _anytime_search(c, budget, seed)
-    report.wall_time = time.monotonic() - t0
+        best_fold, best, complete, nodes, lb = _anytime_search(
+            c, max_nodes, t0 + (seconds or 60.0), seed)
+    floor = _fold_floor(c.face_count)
+    report = SearchReport(
+        beta=c.beta,
+        best_fold=best_fold,
+        best_coloring=FaceColoring(c, best),
+        status="ProvedOptimal" if complete or best_fold == floor else "Incumbent",
+        nodes_explored=nodes,
+        wall_time=time.monotonic() - t0,
+        proven_lower_bound=max(floor, lb),
+    )
     rep = is_good(report.best_coloring)
     blacks = sum(1 for x in report.best_coloring.colors if x == BLACK)
     if not rep.good or 2 * blacks != c.face_count:
@@ -482,82 +533,31 @@ def _initial_incumbent(c: QuotientComplex):
     return folds[i], seeds[i].colors
 
 
-def _exact_search(c, budget, nthreads, checkpoint_out, resume):
-    tables = _Tables(c)
-    inc_fold, inc_colors = _initial_incumbent(c)
-    start_prefixes = [("", 0)]
-    nodes_carried = 0
-    if resume is not None:
-        with open(resume) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != CHECKPOINT_FORMAT:
-            raise DomainError("unrecognized checkpoint format")
-        if doc["beta"] != [c.beta.a, c.beta.b] or doc["order"] != tables.order:
-            raise DomainError("checkpoint belongs to a different search")
-        if doc["incumbent_fold"] is not None and doc["incumbent_fold"] < inc_fold:
-            inc_fold = doc["incumbent_fold"]
-            inc_colors = tuple(
-                BLACK if ch == "1" else WHITE for ch in doc["incumbent_colors"]
-            )
-        start_prefixes = [(e["prefix"], 0) for e in doc["frontier"]]
-        nodes_carried = doc.get("nodes_explored", 0)
+def _solve(tables: _Tables, prefixes, inc_fold: int, max_nodes, deadline):
+    """Branch and bound below each prefix in turn, under one bound and one
+    budget, pruning leaves above inc_fold.
 
-    if nthreads > 1 and checkpoint_out is None and len(start_prefixes) == 1:
-        return _exact_parallel(c, tables, inc_fold, inc_colors, budget, nthreads,
-                               nodes_carried)
-
+    Returns (best fold, the leaves found at that fold, whether every subtree
+    was exhausted, nodes explored, frontier of untried branches).
+    """
     bound = [inc_fold]
-    ties: list[tuple[int, ...]] = [inc_colors]
-    bud = _Budget(budget.max_nodes if budget else None,
-                  budget.max_seconds if budget else None)
+    ties: list[tuple[int, ...]] = []
+    budget = _Budget(max_nodes, deadline)
     frontier: list[tuple[str, int]] = []
 
-    def emit(cols, folds):
+    def emit(cols, folds):  # only leaves with folds <= bound[0] arrive
         if folds < bound[0]:
             bound[0] = folds
             ties.clear()
-            ties.append(cols)
-        elif folds == bound[0]:
-            ties.append(cols)
+        ties.append(cols)
 
     complete = True
-    for bits, _ in start_prefixes:
+    for bits in prefixes:
         dfs = _Dfs(tables)
         state = dfs.replay_prefix(bits)
-        if state is None:
-            continue
-        k, folds = state
-        if not dfs.search(k, folds, bound, bud, emit, frontier):
+        if state is not None and not dfs.search(*state, bound, budget, emit, frontier):
             complete = False
-
-    best_fold = bound[0]
-    best = _lex_best(ties)
-    lb = best_fold if complete else min(
-        [best_fold] + [folds for _, folds in frontier]
-    )
-    if checkpoint_out is not None and not complete:
-        doc = {
-            "format": CHECKPOINT_FORMAT,
-            "beta": [c.beta.a, c.beta.b],
-            "order": tables.order,
-            "incumbent_fold": best_fold,
-            "incumbent_colors": "".join(
-                "1" if x == BLACK else "0" for x in best
-            ),
-            "frontier": [{"prefix": bits} for bits, _ in frontier],
-            "nodes_explored": nodes_carried + bud.nodes,
-        }
-        with open(checkpoint_out, "w") as fh:
-            json.dump(doc, fh)
-    return SearchReport(
-        beta=c.beta,
-        best_fold=best_fold,
-        best_coloring=FaceColoring(c, best),
-        status="ProvedOptimal" if complete else "Incumbent",
-        nodes_explored=nodes_carried + bud.nodes,
-        wall_time=0.0,
-        proven_lower_bound=lb,
-    )
+    return bound[0], ties, complete, budget.nodes, frontier
 
 
 _SPLIT_DEPTH = 8
@@ -581,7 +581,7 @@ def _expand_prefixes(tables: _Tables, depth: int) -> list[str]:
     return out
 
 
-# the parent's tables, inherited by each forked worker of _exact_parallel
+# the parent's tables, inherited by each forked worker of _exact_search
 _worker_tables: _Tables | None = None
 
 
@@ -590,72 +590,76 @@ def _init_worker(tables: _Tables) -> None:
     _worker_tables = tables
 
 
-def _worker_exact(args):
-    prefix, inc_fold, max_nodes, max_seconds = args
-    tables = _worker_tables
-    bound = [inc_fold]
-    ties: list[tuple[int, ...]] = []
-    bud = _Budget(max_nodes, max_seconds)
-    frontier: list[tuple[str, int]] = []
-
-    def emit(cols, folds):
-        if folds < bound[0]:
-            bound[0] = folds
-            ties.clear()
-        if folds <= bound[0]:
-            ties.append(cols)
-
-    dfs = _Dfs(tables)
-    state = dfs.replay_prefix(prefix)
-    complete = True
-    if state is not None:
-        complete = dfs.search(state[0], state[1], bound, bud, emit, frontier)
-    return (bound[0], ties, complete, bud.nodes,
-            min([folds for _, folds in frontier], default=None))
+def _solve_prefix(args):
+    prefix, inc_fold, max_nodes, deadline = args
+    return _solve(_worker_tables, [prefix], inc_fold, max_nodes, deadline)
 
 
-def _exact_parallel(c, tables, inc_fold, inc_colors, budget, nthreads, nodes_carried):
-    import multiprocessing as mp
-
-    depth = min(_SPLIT_DEPTH, tables.F - 1)
-    prefixes = _expand_prefixes(tables, depth)
-    args = [
-        (p, inc_fold,
-         budget.max_nodes if budget else None,
-         budget.max_seconds if budget else None)
-        for p in prefixes
-    ]
-    # under fork, initargs reach the workers by inheritance, not pickling
-    with mp.get_context("fork").Pool(nthreads, initializer=_init_worker,
-                                     initargs=(tables,)) as pool:
-        results = pool.map(_worker_exact, args)
-    best_fold = inc_fold
+def _exact_search(c, max_nodes, deadline, nthreads, checkpoint_out, resume):
+    """Branch and bound over a prefix work list: [""] or a resumed frontier,
+    in one _solve, or with nthreads > 1 in one _solve per prefix of a forked
+    pool, each task pruning against the initial incumbent only."""
+    tables = _Tables(c)
+    inc_fold, inc_colors = _initial_incumbent(c)
     ties = [inc_colors]
-    nodes = nodes_carried
-    complete = True
-    open_lbs = []
-    for fold, wties, wcomplete, wnodes, wopen in results:
-        nodes += wnodes
-        complete = complete and wcomplete
-        if wopen is not None:
-            open_lbs.append(wopen)
-        for cols in wties:
-            f = fold_count(FaceColoring(c, cols))
-            if f < best_fold:
-                best_fold = f
-                ties = [cols]
-            elif f == best_fold:
-                ties.append(cols)
-    lb = best_fold if complete else min([best_fold] + open_lbs)
-    return SearchReport(
-        beta=c.beta,
-        best_fold=best_fold,
-        best_coloring=FaceColoring(c, _lex_best(ties)),
-        status="ProvedOptimal" if complete else "Incumbent",
-        nodes_explored=nodes,
-        wall_time=0.0,
-        proven_lower_bound=lb,
-    )
+    prefixes = [""]
+    nodes = 0
+    if resume is not None:
+        with open(resume) as fh:
+            doc = json.load(fh)
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise DomainError("unrecognized checkpoint format")
+        if doc["beta"] != [c.beta.a, c.beta.b] or doc["order"] != tables.order:
+            raise DomainError("checkpoint belongs to a different search")
+        stored = doc["incumbent_fold"]
+        if stored is not None and stored <= inc_fold:
+            cols = tuple(BLACK if ch == "1" else WHITE for ch in doc["incumbent_colors"])
+            # at an equal fold the stored coloring is one more tie: it is the
+            # least of those found before the checkpoint
+            ties = [cols] if stored < inc_fold else ties + [cols]
+            inc_fold = stored
+        prefixes = [e["prefix"] for e in doc["frontier"]]
+        nodes = doc.get("nodes_explored", 0)
+
+    if nthreads == 1:
+        results = [_solve(tables, prefixes, inc_fold, max_nodes, deadline)]
+    else:
+        import multiprocessing as mp
+
+        if prefixes == [""]:
+            prefixes = _expand_prefixes(tables, min(_SPLIT_DEPTH, tables.F - 1))
+        # under fork, initargs reach the workers by inheritance, not pickling
+        with mp.get_context("fork").Pool(nthreads, initializer=_init_worker,
+                                         initargs=(tables,)) as pool:
+            results = pool.map(_solve_prefix,
+                               [(p, inc_fold, max_nodes, deadline) for p in prefixes])
+
+    best_fold, complete, frontier = inc_fold, True, []
+    for fold, found, done, n, open_ in results:
+        if fold < best_fold:
+            best_fold, ties = fold, []
+        if fold == best_fold:
+            ties += found
+        complete = complete and done
+        nodes += n
+        frontier += open_
+    best = _lex_best(ties)
+    if checkpoint_out is not None and not complete:
+        doc = {
+            "format": CHECKPOINT_FORMAT,
+            "beta": [c.beta.a, c.beta.b],
+            "order": tables.order,
+            "incumbent_fold": best_fold,
+            "incumbent_colors": "".join(
+                "1" if x == BLACK else "0" for x in best
+            ),
+            "frontier": [{"prefix": bits} for bits, _ in frontier],
+            "nodes_explored": nodes,
+        }
+        with open(checkpoint_out, "w") as fh:
+            json.dump(doc, fh)
+    # the frontier is empty exactly when the tree was exhausted
+    return best_fold, best, complete, nodes, min([best_fold] + [f for _, f in frontier])
 
 
 def _random_good_coloring(tables: _Tables, rng: random.Random, deadline: float):
@@ -663,9 +667,6 @@ def _random_good_coloring(tables: _Tables, rng: random.Random, deadline: float):
 
     None when the deadline (a time.monotonic() value) passes first.
     """
-    left = deadline - time.monotonic()
-    if left <= 0:
-        return None
     hit = []
 
     def value_order(d_black, d_white):
@@ -675,15 +676,13 @@ def _random_good_coloring(tables: _Tables, rng: random.Random, deadline: float):
         hit.append(cols)
         return True  # stop at the first leaf
 
-    _Dfs(tables).search(0, 0, [None], _Budget(max_seconds=left), emit, [], value_order)
+    _Dfs(tables).search(0, 0, [None], _Budget(deadline=deadline), emit, [], value_order)
     return hit[0] if hit else None
 
 
-def _anytime_search(c, budget, seed):
+def _anytime_search(c, max_nodes, deadline, seed):
     rng = random.Random(seed)
     tables = _Tables(c)
-    deadline = time.monotonic() + (budget.max_seconds if budget and budget.max_seconds
-                                   else 60.0)
     inc_fold, inc_colors = _initial_incumbent(c)
 
     # value-ordered branch-and-bound prefix: prefer the color agreeing with
@@ -699,8 +698,8 @@ def _anytime_search(c, budget, seed):
             bound[0] = folds
             best[0] = cols
 
-    prefix_nodes = budget.max_nodes if budget and budget.max_nodes else 300_000
-    bud = _Budget(prefix_nodes, max(1.0, (deadline - time.monotonic()) * 0.5))
+    now = time.monotonic()
+    bud = _Budget(max_nodes or 300_000, now + max(1.0, (deadline - now) * 0.5))
     dfs = _Dfs(tables)
     complete = dfs.search(0, 0, bound, bud, emit, [], greedy_order)
 
@@ -736,15 +735,7 @@ def _anytime_search(c, budget, seed):
         colors = list(cols)
         cur_fold = fold_count(FaceColoring(c, cols))
 
-    return SearchReport(
-        beta=c.beta,
-        best_fold=bound[0],
-        best_coloring=FaceColoring(c, best[0]),
-        status="ProvedOptimal" if complete else "Incumbent",
-        nodes_explored=bud.nodes,
-        wall_time=0.0,
-        proven_lower_bound=bound[0] if complete else 0,
-    )
+    return bound[0], best[0], complete, bud.nodes, bound[0] if complete else 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ _TRIAL_LIMIT = 1_000_000
 
 
 def _extract_square(n: int) -> tuple[int, int]:
-    """n = k^2 * m with m free of square factors below the trial limit."""
+    """n = k^2 * m with m squarefree.
+
+    Raises DomainError when trial division, which stops at the trial
+    limit, cannot show m squarefree.
+    """
     if n <= 0:
         raise DomainError("radicand must be positive")
     k, m, p = 1, n, 2
@@ -31,6 +35,9 @@ def _extract_square(n: int) -> tuple[int, int]:
     r = isqrt(m)
     if r * r == m:
         return k * r, 1
+    if p * p <= m:
+        raise DomainError(f"cannot show the radicand squarefree: trial division "
+                          f"stops at {_TRIAL_LIMIT}")
     return k, m
 
 

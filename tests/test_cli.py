@@ -94,6 +94,35 @@ def test_validate_rejects_non_binary_colors(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("doc", [
+    {"schema": "coloring.v1"},
+    {"schema": "coloring.v1", "complex_ref": {"beta": [1, "x"]}, "colors": "0" * 14},
+    {"schema": "coloring.v1", "complex_ref": {"beta": [1.5, 2]}, "colors": "0" * 14},
+    {"schema": "coloring.v1", "complex_ref": {"beta": "12"}, "colors": "0" * 14},
+    {"schema": "coloring.v1", "complex_ref": {"beta": [True, 2]}, "colors": "0" * 14},
+    {"schema": "coloring.v1", "complex_ref": [1, 2], "colors": "0" * 14},
+    {"schema": "coloring.v1", "complex_ref": {"beta": [1, 2]}},
+    {"schema": "coloring.v1", "complex_ref": {"beta": [0, 0]}, "colors": ""},
+    {"schema": "coloring.v1", "complex_ref": {"beta": [10**6, 10**6]}, "colors": "01"},
+])
+def test_validate_malformed_coloring_is_one_error_line(tmp_path, capsys, doc):
+    path = tmp_path / "coloring.json"
+    path.write_text(json.dumps(doc))
+    _assert_one_error_line(capsys, cli_main(["validate", "--in", str(path)]))
+
+
+def test_validate_reads_a_beta_written_as_a_decimal_string(tmp_path, capsys):
+    path = str(tmp_path / "coloring.json")
+    assert run(capsys, "color", "--beta", "1,2", "--out", path)[0] == 0
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["complex_ref"]["beta"] = ["1", "2"]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out = run(capsys, "validate", "--in", path)
+    assert code == 0 and json.loads(out)["good"] is True
+
+
 def test_eta_limit_golden(capsys):
     code, out = run(capsys, "eta-limit", "--zeta", "golden")
     assert code == 0
@@ -190,6 +219,14 @@ def test_anytime_search_stops_at_its_deadline():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "Incumbent"
+
+
+def test_anytime_search_past_a_thousand_faces(capsys):
+    # F = 1,766: deeper than the interpreter's recursion limit
+    code, out = run(capsys, "search", "--beta", "13,21", "--mode", "anytime",
+                    "--max-seconds", "2")
+    assert code == 0
+    assert json.loads(out)["status"] == "Incumbent"
 
 
 def test_module_entry_point_without_runtime_warning():

@@ -1,5 +1,6 @@
 import os
 import random
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from eisenfold.search import (
     swappable_vertices,
     vertex_swap,
 )
-from eisenfold.search import _star_table
+from eisenfold.search import _fold_floor, _star_table
 from eisenfold.surface import build_complex
 
 
@@ -240,3 +241,71 @@ def test_enumeration_sequence_is_deterministic():
     first = [col.colors for col in iter_good_colorings(c)]
     second = [col.colors for col in iter_good_colorings(c)]
     assert first == second
+
+
+# checkpoint at a budget, then resume: the best coloring is the one of the
+# run without a checkpoint, whatever the worker counts on either side (at
+# 28,000 nodes per task, 2 workers finish without writing a checkpoint)
+@pytest.mark.parametrize("max_nodes", [3000, 28_000])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("resume_threads", [1, 2])
+def test_resume_reaches_the_uninterrupted_best_coloring(tmp_path, monkeypatch, max_nodes,
+                                                        threads, resume_threads):
+    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+    c = build_complex(EisensteinInt(2, 3))
+    full = min_fold_search(c, mode="exact")
+    ck = str(tmp_path / "ck.json")
+    rep = min_fold_search(c, mode="exact", budget=SearchBudget(max_nodes=max_nodes),
+                          threads=threads, checkpoint_out=ck)
+    if rep.status == "Incumbent":
+        rep = min_fold_search(c, mode="exact", threads=resume_threads, resume=ck)
+    else:
+        assert not os.path.exists(ck)
+    assert rep.status == "ProvedOptimal"
+    assert rep.best_coloring.colors == full.best_coloring.colors
+
+
+# small betas whose good colorings are all enumerated in about a second
+FLOOR_BETAS = [(1, 0), (1, 1), (0, 2), (1, 2), (0, 3), (2, 2), (1, 3), (0, 4), (2, 3)]
+
+
+@pytest.mark.parametrize("beta", FLOOR_BETAS)
+def test_fold_floor_bounds_every_good_coloring(beta):
+    c = build_complex(EisensteinInt(*beta))
+    F = c.face_count
+    floor = _fold_floor(F)
+    assert floor * floor >= 3 * F > (floor - 2) ** 2
+    folds = {fold_count(col) for col in iter_good_colorings(c)}
+    assert {f % 2 for f in folds} == {(F // 2) % 2}
+    assert floor <= min(folds)
+    if beta in ((1, 0), (0, 2), (0, 3)):
+        assert floor == min(folds)
+
+
+def test_budget_stops_report_the_fold_floor():
+    rep = min_fold_search(build_complex(EisensteinInt(3, 4)), mode="exact",
+                          budget=SearchBudget(max_nodes=100_000))
+    assert (rep.status, rep.best_fold, rep.proven_lower_bound) == ("Incumbent", 35, 15)
+    rep = min_fold_search(build_complex(EisensteinInt(1, 5)), mode="anytime",
+                          budget=SearchBudget(max_nodes=2000, max_seconds=10))
+    assert rep.status == "Incumbent"
+    assert rep.proven_lower_bound == 15 <= rep.best_fold
+
+
+def test_an_incumbent_at_the_floor_is_proved_optimal():
+    # (1, 0): the initial incumbent already has fold 3 = L, so one node suffices
+    rep = min_fold_search(build_complex(EisensteinInt(1, 0)), mode="exact",
+                          budget=SearchBudget(max_nodes=1))
+    assert (rep.status, rep.best_fold, rep.proven_lower_bound, rep.nodes_explored) == (
+        "ProvedOptimal", 3, 3, 1)
+
+
+def test_two_workers_share_one_deadline(monkeypatch):
+    # each prefix task used to get the whole --max-seconds to itself: 4.1 s
+    # of wall time here for a 1 s deadline
+    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+    c = build_complex(EisensteinInt(3, 4))
+    t0 = time.monotonic()
+    rep = min_fold_search(c, mode="exact", threads=2, budget=SearchBudget(max_seconds=1))
+    assert time.monotonic() - t0 < 3.0
+    assert rep.status == "Incumbent"

@@ -10,6 +10,7 @@ from eisenfold.surd import (
     periodic_cf_of_surd,
     surd_from_periodic_cf,
 )
+from eisenfold.surd import _extract_square
 
 
 def golden_conjugate():
@@ -113,3 +114,11 @@ def test_mixed_radicand_rejected():
     b = QuadraticSurd(Fraction(0), Fraction(1), 3)
     with pytest.raises(DomainError):
         _ = a + b
+
+
+def test_extract_square_past_the_trial_limit():
+    p = 1_000_003  # a prime above the trial-division limit
+    assert _extract_square(p * p) == (p, 1)
+    assert _extract_square(12 * p) == (2, 3 * p)
+    with pytest.raises(DomainError):
+        _extract_square(2 * p * p)
