@@ -8,7 +8,6 @@ undetermined.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -64,12 +63,7 @@ def _cmd_color(args) -> int:
 
 
 def _read_coloring(path: str):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DomainError(f"{path} is not a JSON document: {exc}") from exc
-    return from_json_dict(doc)
+    return from_json_dict(jsonio.load(path))
 
 
 def _cmd_validate(args) -> int:
@@ -104,13 +98,22 @@ def _cmd_eta(args) -> int:
     return 0
 
 
+def _parse_depths(text: str) -> tuple[tuple[int, int], ...]:
+    schedule = []
+    for rung in text.split(";"):
+        try:
+            d1, d2 = (int(x) for x in rung.split(","))
+        except ValueError as exc:
+            raise DomainError(f"depths must be rungs 'd1,d2' joined by ';', got {text!r}") from exc
+        if d1 < 1 or d2 < 1:
+            raise DomainError(f"depths must be positive, got rung {rung!r}")
+        schedule.append((d1, d2))
+    return tuple(schedule)
+
+
 def _cmd_eta_limit(args) -> int:
     zeta = parse_zeta(args.zeta)
-    schedule = DEFAULT_DEPTH_SCHEDULE
-    if args.depths:
-        schedule = tuple(
-            tuple(int(x) for x in rung.split(",")) for rung in args.depths.split(";")
-        )
+    schedule = DEFAULT_DEPTH_SCHEDULE if args.depths is None else _parse_depths(args.depths)
     base = {
         "schema": "eta-limit.v1",
         "zeta": args.zeta,

@@ -74,6 +74,13 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
     triangles; each quotient face must be claimed exactly three times (its
     three rotation copies) with a consistent color, which simultaneously
     audits the tile partition and the rotation invariance.
+
+    A convex quad is painted column by column: the tripled centroid
+    (3a + off, 3b + off) of triangle (a, b, o), off = 1 + o, lies on the
+    left of a ccw edge (ax, ay) -> (ax + ex, ay + ey) exactly when
+    3 ex b >= r with r = ey (3a + off - ax) - ex (off - ay), so each edge
+    bounds b from one side and the members of a column form one interval,
+    found by integer floor division.
     """
     F = c.face_count
     colors = [-1] * F
@@ -93,30 +100,32 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
             assign(face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o), color)
             continue
         quad = data
+        edges = [
+            (ax, ay, bx - ax, by - ay)
+            for (ax, ay), (bx, by) in zip(quad, quad[1:] + quad[:1])
+            if (ax, ay) != (bx, by)
+        ]
         xs = [p[0] for p in quad]
         ys = [p[1] for p in quad]
+        b_min, b_max = min(ys) // 3 - 1, max(ys) // 3 + 1
         for a in range(min(xs) // 3 - 1, max(xs) // 3 + 2):
-            for b in range(min(ys) // 3 - 1, max(ys) // 3 + 2):
-                for o, (ox, oy) in ((UP, (1, 1)), (DOWN, (2, 2))):
-                    px, py = 3 * a + ox, 3 * b + oy
-                    if _in_quad(quad, px, py):
-                        assign(face_at(a, b, o), color)
+            for o, off in ((UP, 1), (DOWN, 2)):
+                px = 3 * a + off
+                lo, hi = b_min, b_max
+                for ax, ay, ex, ey in edges:
+                    r = ey * (px - ax) - ex * (off - ay)
+                    if ex > 0:
+                        lo = max(lo, -(-r // (3 * ex)))
+                    elif ex < 0:
+                        hi = min(hi, r // (3 * ex))
+                    elif r > 0:
+                        hi = lo - 1
+                        break
+                for b in range(lo, hi + 1):
+                    assign(face_at(a, b, o), color)
     if any(n != 3 for n in counts):
         raise AssertionError("tile partition did not cover each face exactly 3 times")
     return FaceColoring(c, tuple(colors))
-
-
-def _in_quad(quad, px, py) -> bool:
-    m = len(quad)
-    for i in range(m):
-        ax, ay = quad[i]
-        bx, by = quad[(i + 1) % m]
-        ex, ey = bx - ax, by - ay
-        if ex == 0 and ey == 0:
-            continue
-        if ex * (py - ay) - ey * (px - ax) < 0:
-            return False
-    return True
 
 
 def continued_fraction_coloring(

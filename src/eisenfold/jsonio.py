@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from .eisenstein import DomainError
+
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 
@@ -15,3 +17,12 @@ def jint(n: int):
 def dumps(obj) -> str:
     """Compact, key-order-preserving, byte-stable serialization."""
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+
+
+def load(path: str):
+    """The JSON document in a file; DomainError when it is not JSON in UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DomainError(f"{path} is not a JSON document: {exc}") from exc

@@ -68,7 +68,11 @@ def parse_zeta(text: str) -> QuadraticSurd:
     if text == "golden":
         return golden_zeta()
     if text.startswith("sqrt:"):
-        return sqrt_zeta(int(text[5:]))
+        try:
+            n = int(text[5:])
+        except ValueError as exc:
+            raise DomainError(f"sqrt:N needs an integer N, got {text!r}") from exc
+        return sqrt_zeta(n)
     raise DomainError(f"unrecognized zeta syntax {text!r}")
 
 

@@ -28,6 +28,7 @@ from .coloring import (
     fold_count,
     is_good,
 )
+from . import jsonio
 from .eisenstein import DomainError, EisensteinInt
 from .flower import BLACK, WHITE, cf_eta
 from .surface import QuotientComplex
@@ -595,6 +596,45 @@ def _solve_prefix(args):
     return _solve(_worker_tables, [prefix], inc_fold, max_nodes, deadline)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_bits(x, most: int) -> bool:
+    return isinstance(x, str) and len(x) <= most and set(x) <= {"0", "1"}
+
+
+def _read_checkpoint(path: str, tables: _Tables):
+    """(stored fold, stored colors, frontier prefixes, nodes) of a checkpoint
+    of this search; DomainError for any other document."""
+    doc = jsonio.load(path)
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise DomainError("unrecognized checkpoint format")
+    fields = ("beta", "order", "incumbent_fold", "incumbent_colors", "frontier")
+    missing = [k for k in fields if k not in doc]
+    if missing:
+        raise DomainError(f"checkpoint lacks {', '.join(missing)}")
+    beta, order, stored, bits, frontier = (doc[k] for k in fields)
+    nodes = doc.get("nodes_explored", 0)
+    F = tables.F
+    if not (isinstance(beta, list) and isinstance(order, list)
+            and all(_is_int(x) for x in beta + order)):
+        raise DomainError("checkpoint beta and order must be lists of integers")
+    if beta != [tables.c.beta.a, tables.c.beta.b] or order != tables.order:
+        raise DomainError("checkpoint belongs to a different search")
+    if not (_is_int(stored) and _is_bits(bits, F) and len(bits) == F):
+        raise DomainError("checkpoint incumbent must be a fold and a bitstring of F bits")
+    if not _is_int(nodes) or nodes < 0:
+        raise DomainError("checkpoint nodes_explored must be a count")
+    if not (isinstance(frontier, list)
+            and all(isinstance(e, dict) and _is_bits(e.get("prefix"), F) for e in frontier)):
+        raise DomainError("checkpoint frontier entries need a prefix of 0s and 1s")
+    col = FaceColoring(tables.c, tuple(BLACK if ch == "1" else WHITE for ch in bits))
+    if not is_good(col).good or fold_count(col) != stored:
+        raise DomainError("checkpoint incumbent is not a good coloring of its fold")
+    return stored, col.colors, [e["prefix"] for e in frontier], nodes
+
+
 def _exact_search(c, max_nodes, deadline, nthreads, checkpoint_out, resume):
     """Branch and bound over a prefix work list: [""] or a resumed frontier,
     in one _solve, or with nthreads > 1 in one _solve per prefix of a forked
@@ -605,21 +645,12 @@ def _exact_search(c, max_nodes, deadline, nthreads, checkpoint_out, resume):
     prefixes = [""]
     nodes = 0
     if resume is not None:
-        with open(resume) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != CHECKPOINT_FORMAT:
-            raise DomainError("unrecognized checkpoint format")
-        if doc["beta"] != [c.beta.a, c.beta.b] or doc["order"] != tables.order:
-            raise DomainError("checkpoint belongs to a different search")
-        stored = doc["incumbent_fold"]
-        if stored is not None and stored <= inc_fold:
-            cols = tuple(BLACK if ch == "1" else WHITE for ch in doc["incumbent_colors"])
+        stored, cols, prefixes, nodes = _read_checkpoint(resume, tables)
+        if stored <= inc_fold:
             # at an equal fold the stored coloring is one more tie: it is the
             # least of those found before the checkpoint
             ties = [cols] if stored < inc_fold else ties + [cols]
             inc_fold = stored
-        prefixes = [e["prefix"] for e in doc["frontier"]]
-        nodes = doc.get("nodes_explored", 0)
 
     if nthreads == 1:
         results = [_solve(tables, prefixes, inc_fold, max_nodes, deadline)]

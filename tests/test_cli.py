@@ -237,3 +237,78 @@ def test_module_entry_point_without_runtime_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 3
+
+
+def _checkpoint_1_2(tmp_path, capsys):
+    path = str(tmp_path / "ck.json")
+    code, _ = run(capsys, "search", "--beta", "1,2", "--max-nodes", "40",
+                  "--checkpoint-out", path)
+    assert code == 2
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# each turns a real (1,2) checkpoint into a malformed one
+RESUME_DEFECTS = {
+    "format only": lambda d: {"format": d["format"]},
+    "no beta": lambda d: _without(d, "beta"),
+    "no order": lambda d: _without(d, "order"),
+    "no incumbent_fold": lambda d: _without(d, "incumbent_fold"),
+    "no incumbent_colors": lambda d: _without(d, "incumbent_colors"),
+    "no frontier": lambda d: _without(d, "frontier"),
+    "beta of floats": lambda d: {**d, "beta": [1.0, 2.0]},
+    "order not a list": lambda d: {**d, "order": "0123"},
+    "fold a string": lambda d: {**d, "incumbent_fold": "13"},
+    "fold a boolean": lambda d: {**d, "incumbent_fold": True},
+    "fold null": lambda d: {**d, "incumbent_fold": None},
+    "colors a list": lambda d: {**d, "incumbent_colors": [0, 1]},
+    "colors not binary": lambda d: {**d, "incumbent_colors": "2" * 14},
+    "colors too short": lambda d: {**d, "incumbent_colors": "01"},
+    "fold below the colors": lambda d: {**d, "incumbent_fold": d["incumbent_fold"] - 2},
+    "frontier a dict": lambda d: {**d, "frontier": {"prefix": "0"}},
+    "entry without prefix": lambda d: {**d, "frontier": [{"bits": "0"}]},
+    "prefix not a string": lambda d: {**d, "frontier": [{"prefix": 1}]},
+    "prefix not binary": lambda d: {**d, "frontier": [{"prefix": "10x"}]},
+    "prefix past the faces": lambda d: {**d, "frontier": [{"prefix": "1" * 15}]},
+    "nodes negative": lambda d: {**d, "nodes_explored": -1},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(RESUME_DEFECTS))
+def test_search_resume_malformed_checkpoint_is_one_error_line(tmp_path, capsys, defect):
+    doc = RESUME_DEFECTS[defect](_checkpoint_1_2(tmp_path, capsys))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    _assert_one_error_line(capsys, cli_main(["search", "--beta", "1,2", "--resume", str(path)]))
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}", b"[1, 2]"])
+def test_search_resume_non_checkpoint_file_is_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    _assert_one_error_line(capsys, cli_main(["search", "--beta", "1,2", "--resume", str(path)]))
+
+
+def test_search_resume_reads_its_own_checkpoint(tmp_path, capsys):
+    doc = _checkpoint_1_2(tmp_path, capsys)
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "search", "--beta", "1,2", "--resume", str(path))
+    assert code == 0 and json.loads(out)["status"] == "ProvedOptimal"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--zeta", "golden", "--depths", "40,x"],
+    ["--zeta", "golden", "--depths", "40"],
+    ["--zeta", "golden", "--depths", "60,40;;"],
+    ["--zeta", "golden", "--depths", ""],
+    ["--zeta", "golden", "--depths", "0,0"],
+    ["--zeta", "golden", "--depths", "40,60;150,-200"],
+    ["--zeta", "sqrt:x"],
+])
+def test_eta_limit_malformed_arguments_are_one_error_line(capsys, argv):
+    _assert_one_error_line(capsys, cli_main(["eta-limit"] + argv))

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from eisenfold.coloring import (
     induced_face_coloring,
     is_good,
     monochrome_regions,
+    paint_from_flower,
     to_json_dict,
     vertex_four_coloring,
 )
@@ -235,3 +237,80 @@ def test_coloring_json_bytes_are_pinned(beta):
 
     doc = dumps(to_json_dict(continued_fraction_coloring(EisensteinInt(*beta))))
     assert hashlib.sha256(doc.encode()).hexdigest() == COLORING_PINS[beta]
+
+
+def _oracle_paint(cf, c):
+    """paint_from_flower as it was before the scan-line fill: every triangle
+    of each quad's bounding box is tested against the quad's ccw edges."""
+    colors = [-1] * c.face_count
+    for kind, data, color in cf.regions():
+        if kind == "fill":
+            x, y = data
+            o = 0 if x % 3 == 1 else 1
+            colors[c.face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o)] = color
+            continue
+        xs = [p[0] for p in data]
+        ys = [p[1] for p in data]
+        for a in range(min(xs) // 3 - 1, max(xs) // 3 + 2):
+            for b in range(min(ys) // 3 - 1, max(ys) // 3 + 2):
+                for o, off in ((0, 1), (1, 2)):
+                    if _in_quad(data, 3 * a + off, 3 * b + off):
+                        colors[c.face_at(a, b, o)] = color
+    return tuple(colors)
+
+
+def _in_quad(quad, px, py):
+    m = len(quad)
+    for i in range(m):
+        ax, ay = quad[i]
+        bx, by = quad[(i + 1) % m]
+        ex, ey = bx - ax, by - ay
+        if ex == 0 and ey == 0:
+            continue
+        if ex * (py - ay) - ey * (px - ax) < 0:
+            return False
+    return True
+
+
+def _assert_paint_matches_oracle(beta):
+    be = EisensteinInt(*beta)
+    c = build_complex(be)
+    cf = capped_flower(be)
+    assert paint_from_flower(cf, c).colors == _oracle_paint(cf, c)
+
+
+def test_paint_matches_bounding_box_oracle_b_le_30():
+    for b in range(1, 31):
+        for a in range(1, b + 1):
+            if gcd(a, b) == 1:
+                _assert_paint_matches_oracle((a, b))
+
+
+# thin beta (long slanted trapezoids in nearly empty boxes), the four
+# Fibonacci tiers of the golden benchmark workload, and a sample of a <= 3
+THIN_AND_GOLDEN = sorted(
+    {(1, 30), (2, 45), (1, 78), (3, 125), (13, 21), (21, 34), (34, 55), (55, 89)}
+    | {(a, b) for a in (1, 2, 3) for b in range(31, 131, 17) if gcd(a, b) == 1}
+)
+
+
+@pytest.mark.parametrize("beta", THIN_AND_GOLDEN)
+def test_paint_matches_bounding_box_oracle_thin_and_golden(beta):
+    _assert_paint_matches_oracle(beta)
+
+
+def test_paint_audit_fires_when_a_quad_is_missing():
+    be = EisensteinInt(2, 5)
+    cf = capped_flower(be)
+
+    def regions():
+        it = cf.regions()
+        dropped = False
+        for kind, data, color in it:
+            if kind == "quad" and not dropped:
+                dropped = True
+                continue
+            yield kind, data, color
+
+    with pytest.raises(AssertionError, match="exactly 3 times"):
+        paint_from_flower(SimpleNamespace(regions=regions), build_complex(be))
