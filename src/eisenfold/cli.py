@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import jsonio
 from .coloring import (
@@ -39,6 +40,16 @@ def _parse_beta(text: str) -> EisensteinInt:
     except ValueError as exc:
         raise DomainError(f"beta must be 'a,b', got {text!r}") from exc
     return EisensteinInt(a, b)
+
+
+def _parse_aspect(text: str) -> Fraction:
+    try:
+        p, q = (int(x) for x in text.split("/"))
+    except ValueError as exc:
+        raise DomainError(f"flower aspect must be 'p/q', got {text!r}") from exc
+    if q < 1 or gcd(p, q) != 1:
+        raise DomainError(f"flower aspect must be a reduced fraction p/q, got {text!r}")
+    return Fraction(p, q)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -186,8 +197,7 @@ def _cmd_sweep_ie(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.flower:
-        p, q = (int(x) for x in args.flower.split("/"))
-        svg = render_flower_svg(Fraction(p, q), scale=args.scale)
+        svg = render_flower_svg(_parse_aspect(args.flower), scale=args.scale)
     else:
         spec = RenderSpec(
             beta=_parse_beta(args.beta),
@@ -314,10 +324,7 @@ def cli_main(argv=None) -> int:
         parser.error("render needs --beta or --flower")
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -376,29 +376,29 @@ def stripe_counts(cf: CappedFlower) -> list[int]:
     return runs
 
 
-def gamma_orbit_pairs(a: int, b: int) -> list[tuple[int, int]]:
-    """Slow-Gauss orbit of a/b down to (1, 1) as integer pairs."""
-    if gcd(a, b) != 1 or not (1 <= a <= b):
-        raise DomainError(f"need reduced 1 <= a <= b, got ({a}, {b})")
-    out = [(a, b)]
-    while (a, b) != (1, 1):
-        if 2 * a > b:
-            a, b = b - a, a
-        else:
-            b = b - a
-        out.append((a, b))
-    return out
-
-
 def cf_fold_count(a: int, b: int) -> int:
     """Fold count of the continued-fraction coloring, from necklace layers.
 
     Every interface between consecutive colored regions of the tile is a
     fold; summing layer boundary lengths gives 3 + 2 * sum of (a_i + b_i)
-    over the slow-Gauss orbit.  Validated against the built coloring for
-    every small beta in the test suite.
+    over the slow-Gauss orbit of a/b down to (1, 1).  Validated against the
+    built coloring for every small beta in the test suite.
+
+    The orbit is summed one Euclidean quotient at a time: with b = q*a + r,
+    its run (a, b - i*a), i = 0..q-1, adds q*(a + b) - a*q*(q-1)/2 and
+    continues at (r, a); the last run, from (1, b) down to (1, 1), adds
+    b + b*(b+1)/2.  So the cost is the length of the continued fraction,
+    not the sum of its partial quotients.
     """
-    return 3 + 2 * sum(x + y for (x, y) in gamma_orbit_pairs(a, b))
+    if gcd(a, b) != 1 or not (1 <= a <= b):
+        raise DomainError(f"need reduced 1 <= a <= b, got ({a}, {b})")
+    total = 0
+    while a > 1:
+        q, r = divmod(b, a)
+        total += q * (a + b) - a * q * (q - 1) // 2
+        a, b = r, a
+    total += b + b * (b + 1) // 2
+    return 3 + 2 * total
 
 
 def cf_face_count(a: int, b: int) -> int:

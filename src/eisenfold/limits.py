@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice
 from math import gcd, isqrt
 
 from .eisenstein import DomainError, continued_fraction_euclid
 from .flower import cf_eta, cf_face_count, cf_fold_count
-from .surd import CFExpansion, QuadraticSurd, periodic_cf_of_surd, smallest_shift_period, surd_from_periodic_cf
+from .surd import CFExpansion, QuadraticSurd, periodic_cf_of_surd, surd_from_periodic_cf
 
 DEFAULT_DEPTH_SCHEDULE = ((40, 60), (150, 200), (400, 500), (1200, 1500))
 
@@ -76,38 +77,30 @@ def parse_zeta(text: str) -> QuadraticSurd:
     raise DomainError(f"unrecognized zeta syntax {text!r}")
 
 
-def _term_stream(e: CFExpansion):
-    yield from e.preperiod
-    while True:
-        yield from e.period
+def _convergents(e: CFExpansion):
+    """The nonzero convergents (h, k) of the expansion e, in order."""
+    h, h1 = 1, 0
+    k, k1 = 0, 1
+    for t in chain(e.preperiod, cycle(e.period)):
+        h, h1 = t * h + h1, h
+        k, k1 = t * k + k1, k
+        if h > 0:
+            yield h, k
+
+
+def _first_convergent(e: CFExpansion, min_denominator: int) -> Fraction:
+    return next(Fraction(h, k) for h, k in _convergents(e) if k >= min_denominator)
 
 
 def approximant(zeta: QuadraticSurd, min_denominator: int) -> Fraction:
     """First continued-fraction convergent of zeta with denominator >= bound."""
-    h, h1 = 1, 0
-    k, k1 = 0, 1
-    for t in _term_stream(periodic_cf_of_surd(zeta)):
-        h, h1 = t * h + h1, h
-        k, k1 = t * k + k1, k
-        if h > 0 and k >= min_denominator:
-            return Fraction(h, k)
-    raise AssertionError("unreachable")
+    return _first_convergent(periodic_cf_of_surd(zeta), min_denominator)
 
 
 def convergents(zeta: QuadraticSurd, count: int) -> list[Fraction]:
     """The first `count` nonzero convergents; for the golden aspect the n-th
     (1-based) is the Fibonacci ratio a_n / a_{n+1}."""
-    out = []
-    h, h1 = 1, 0
-    k, k1 = 0, 1
-    for t in _term_stream(periodic_cf_of_surd(zeta)):
-        h, h1 = t * h + h1, h
-        k, k1 = t * k + k1, k
-        if h > 0:
-            out.append(Fraction(h, k))
-            if len(out) == count:
-                return out
-    raise AssertionError("unreachable")
+    return [Fraction(h, k) for h, k in islice(_convergents(periodic_cf_of_surd(zeta)), count)]
 
 
 def eta_of_approximant(p: int, q: int) -> Fraction:
@@ -141,10 +134,11 @@ def eta_limit_numeric(
     """
     if zeta.is_rational() or not (QuadraticSurd(Fraction(0), Fraction(0), 1) < zeta < 1):
         raise DomainError("zeta must be a quadratic irrational in (0, 1)")
+    zeta_cf = periodic_cf_of_surd(zeta)
     for d1, d2 in depth_schedule:
         expansions = []
         for digits in (d1, d2):
-            r = approximant(zeta, 10 ** digits)
+            r = _first_convergent(zeta_cf, 10 ** digits)
             e = eta_of_approximant(r.numerator, r.denominator)
             expansions.append(continued_fraction_euclid(e.numerator, e.denominator))
         m = 0
@@ -178,13 +172,28 @@ def eta_limit_numeric(
 
 
 def _detect_period(terms: list[int]):
-    """Smallest (start, period) with >= 3 full repeats filling the suffix."""
-    n = len(terms)
+    """Smallest (start, period) with >= 3 full repeats filling the suffix.
+
+    The suffix terms[start:] read backwards is a prefix of the reversed
+    list, and a sequence and its reverse have the same smallest period, so
+    one KMP failure table over the reversed list gives the period of every
+    suffix: L - border[L - 1] for the suffix of length L.
+    """
+    rev = terms[::-1]
+    n = len(rev)
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and rev[i] != rev[k]:
+            k = border[k - 1]
+        if rev[i] == rev[k]:
+            k += 1
+        border[i] = k
     for start in range(n - 2):
-        suffix = terms[start:]
-        p = smallest_shift_period(suffix)
-        if p and len(suffix) >= 3 * p:
-            return start, suffix[:p]
+        length = n - start
+        p = length - border[length - 1]
+        if length >= 3 * p:
+            return start, terms[start : start + p]
     return None
 
 

@@ -30,7 +30,7 @@ from .coloring import (
 )
 from . import jsonio
 from .eisenstein import DomainError, EisensteinInt
-from .flower import BLACK, WHITE, cf_eta
+from .flower import BLACK, WHITE, cf_eta, cf_face_count, cf_fold_count
 from .surface import QuotientComplex
 
 CHECKPOINT_FORMAT = "eisenfold-search-checkpoint.v1"
@@ -785,7 +785,8 @@ def ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepReport:
     b(beta) <= b' < b_max, for each baseline beta in the list.
 
     Eta values come from the necklace-layer fold formula, which the test
-    suite pins against the constructed colorings.
+    suite pins against the constructed colorings.  eta = f^2 / F with F > 0,
+    so each pair is compared by integer cross-multiplication.
     """
     baselines = {}
     violations = []
@@ -795,12 +796,13 @@ def ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepReport:
             raise DomainError(f"baseline ({a}, {b}) is not canonical primitive")
         baselines[(a, b)] = cf_eta(a, b)
     for (a, b), base_eta in baselines.items():
+        n0, d0 = base_eta.numerator, base_eta.denominator
         for b2 in range(b, b_max):
             for a2 in range(1, b2 + 1):
                 if gcd(a2, b2) != 1 or (a2, b2) == (a, b):
                     continue
                 checked += 1
-                if not base_eta < cf_eta(a2, b2):
+                if not n0 * cf_face_count(a2, b2) < cf_fold_count(a2, b2) ** 2 * d0:
                     violations.append(((a, b), (a2, b2)))
     return IeSweepReport(
         baselines={k: (v.numerator, v.denominator) for k, v in baselines.items()},

@@ -195,22 +195,6 @@ def _smallest_cyclic_period(seq) -> int:
     return n
 
 
-def smallest_shift_period(seq) -> int:
-    """Smallest p with seq[i] == seq[i+p] wherever defined (KMP border)."""
-    n = len(seq)
-    if n == 0:
-        return 0
-    pi = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and seq[i] != seq[k]:
-            k = pi[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        pi[i] = k
-    return n - pi[-1]
-
-
 def periodic_cf_of_surd(x: QuadraticSurd) -> CFExpansion:
     """Exact preperiodic expansion via the complete-quotient cycle."""
     if x.s == 0:

@@ -180,6 +180,19 @@ def test_render_flower_cli(capsys):
     assert out.count('class="maximal-trapezoid"') == 12
 
 
+@pytest.mark.parametrize("aspect", ["1/x", "1/0", "0/1", "3/2", "2/4", "1/2/3", "3"])
+def test_render_malformed_flower_is_one_error_line(capsys, aspect):
+    _assert_one_error_line(capsys, cli_main(["render", "--flower", aspect]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--beta", "1,2", "--resume"], ["validate", "--in"], ["eta", "--in"]],
+)
+def test_directory_as_input_is_one_error_line(tmp_path, capsys, argv):
+    _assert_one_error_line(capsys, cli_main(argv + [str(tmp_path)]))
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

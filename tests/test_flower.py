@@ -14,7 +14,6 @@ from eisenfold.flower import (
     color_at,
     empty_flower,
     fill_and_cap,
-    gamma_orbit_pairs,
     necklace,
     necklace_gamma,
     stripe_counts,
@@ -212,6 +211,49 @@ def test_stripe_counts_equal_continued_fraction_b_le_60():
                 assert stripe_counts(cf) == [1] and quotients == [1]
             else:
                 assert stripe_counts(cf) == quotients[1:]
+
+
+def gamma_orbit_pairs(a: int, b: int) -> list[tuple[int, int]]:
+    """Oracle: the slow-Gauss orbit of a/b down to (1, 1), one subtraction a step."""
+    if gcd(a, b) != 1 or not (1 <= a <= b):
+        raise DomainError(f"need reduced 1 <= a <= b, got ({a}, {b})")
+    out = [(a, b)]
+    while (a, b) != (1, 1):
+        if 2 * a > b:
+            a, b = b - a, a
+        else:
+            b = b - a
+        out.append((a, b))
+    return out
+
+
+def _orbit_fold_count(a: int, b: int) -> int:
+    return 3 + 2 * sum(x + y for (x, y) in gamma_orbit_pairs(a, b))
+
+
+def test_cf_fold_count_matches_the_orbit_sum_through_b_300():
+    for b in range(1, 301):
+        for a in range(1, b + 1):
+            if gcd(a, b) == 1:
+                assert cf_fold_count(a, b) == _orbit_fold_count(a, b), (a, b)
+
+
+@pytest.mark.parametrize("digits", [40, 400])
+def test_cf_fold_count_matches_the_orbit_sum_on_long_pairs(digits):
+    rng = random.Random(digits)
+    pairs = 0
+    while pairs < 200:
+        a, b = sorted(rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(2))
+        if gcd(a, b) != 1:
+            continue
+        assert cf_fold_count(a, b) == _orbit_fold_count(a, b), (a, b)
+        pairs += 1
+
+
+@pytest.mark.parametrize("a, b", [(2, 4), (3, 2), (0, 1), (0, 0), (-1, 2), (6, 9)])
+def test_cf_fold_count_rejects_unreduced_pairs(a, b):
+    with pytest.raises(DomainError):
+        cf_fold_count(a, b)
 
 
 def test_gamma_orbit_pairs_and_formulas():

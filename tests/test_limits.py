@@ -2,11 +2,14 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisenfold.eisenstein import DomainError
 from eisenfold.flower import cf_face_count, cf_fold_count
 from eisenfold.limits import (
     UndeterminedError,
+    _detect_period,
     approximant,
     convergents,
     eta_limit_numeric,
@@ -152,3 +155,107 @@ def test_eta_limit_monotone_convergence_evidence():
             e = eta_of_approximant(r.numerator, r.denominator)
             errors.append(abs(QuadraticSurd(e, Fraction(0), 1) - limit))
         assert all(x > y for x, y in zip(errors, errors[1:]))
+
+
+# depths_used, prefix_length and the surd (r, s, d) of every determined limit,
+# None where the default schedule reports it undetermined
+LIMIT_PINS = {
+    "golden": ((40, 60), 27, (Fraction(9), Fraction(4), 5)),
+    "sqrt:2": ((150, 200), 135, (Fraction(75, 7), Fraction(53, 7), 2)),
+    "sqrt:3": ((150, 200), 156, (Fraction(132, 13), Fraction(72, 13), 3)),
+    "sqrt:5": ((150, 200), 113, (Fraction(321, 19), Fraction(137, 19), 5)),
+    "sqrt:6": ((40, 60), 34, (Fraction(27, 2), Fraction(9, 2), 6)),
+    "sqrt:7": ((1200, 1500), 1169, (Fraction(3100, 259), Fraction(856, 259), 7)),
+    "sqrt:8": ((1200, 1500), 1191, (Fraction(1569, 98), Fraction(370, 49), 2)),
+    "sqrt:10": ((150, 200), 123, (Fraction(1051, 39), Fraction(277, 39), 10)),
+    "sqrt:11": ((400, 500), 323, (Fraction(940, 49), Fraction(174, 49), 11)),
+    "sqrt:12": None,
+    "sqrt:13": ((400, 500), 361, (Fraction(5897, 405), Fraction(757, 405), 13)),
+    "sqrt:14": None,
+    "sqrt:15": ((1200, 1500), 1153, (Fraction(8128, 327), Fraction(896, 327), 15)),
+    "sqrt:17": ((1200, 1500), 1096, (Fraction(2745, 67), Fraction(473, 67), 17)),
+    "sqrt:18": None,
+    "sqrt:19": None,
+    "sqrt:20": ((400, 500), 423, (Fraction(3009, 109), Fraction(355, 109), 5)),
+    "sqrt:21": None,
+    "sqrt:22": None,
+    "sqrt:23": ((1200, 1500), 1305, (Fraction(576, 23), Fraction(10, 23), 23)),
+    "sqrt:24": None,
+    "sqrt:26": ((400, 500), 300, (Fraction(6075, 103), Fraction(725, 103), 26)),
+    "sqrt:27": ((150, 200), 156, (Fraction(492, 13), Fraction(72, 13), 3)),
+    "sqrt:28": ((400, 500), 381, (Fraction(542, 19), Fraction(-276, 931), 7)),
+    "sqrt:29": None,
+    "sqrt:30": ((1200, 1500), 1081, (Fraction(3633, 95), Fraction(51, 95), 30)),
+    "sqrt:31": None,
+    "sqrt:32": None,
+    "sqrt:33": None,
+    "sqrt:34": None,
+    "sqrt:35": ((1200, 1500), 1203, (Fraction(10908, 215), Fraction(1672, 1505), 35)),
+    "sqrt:37": ((400, 500), 397, (Fraction(11905, 147), Fraction(1033, 147), 37)),
+    "sqrt:38": ((1200, 1500), 1091, (Fraction(16589, 326), Fraction(339, 326), 38)),
+    "sqrt:39": ((1200, 1500), 1021, (Fraction(25445, 543), Fraction(-74, 543), 39)),
+    "sqrt:40": ((400, 500), 398, (Fraction(18965, 402), Fraction(-190, 201), 10)),
+}
+
+
+def test_limit_pins_cover_golden_and_every_non_square_below_41():
+    assert set(LIMIT_PINS) == {"golden"} | {
+        f"sqrt:{n}" for n in range(2, 41) if isqrt(n) ** 2 != n
+    }
+
+
+@pytest.mark.parametrize("text", sorted(LIMIT_PINS))
+def test_eta_limit_pins(text):
+    pin = LIMIT_PINS[text]
+    if pin is None:
+        with pytest.raises(UndeterminedError):
+            eta_limit_numeric(parse_zeta(text))
+        return
+    res = eta_limit_numeric(parse_zeta(text))
+    assert (res.depths_used, res.prefix_length, (res.surd.r, res.surd.s, res.surd.d)) == pin
+
+
+def smallest_shift_period(seq) -> int:
+    """Oracle: smallest p with seq[i] == seq[i+p] wherever defined (KMP border)."""
+    n = len(seq)
+    if n == 0:
+        return 0
+    pi = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and seq[i] != seq[k]:
+            k = pi[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        pi[i] = k
+    return n - pi[-1]
+
+
+def detect_period_per_start(terms: list[int]):
+    """Oracle: one KMP pass per candidate start."""
+    n = len(terms)
+    for start in range(n - 2):
+        suffix = terms[start:]
+        p = smallest_shift_period(suffix)
+        if p and len(suffix) >= 3 * p:
+            return start, suffix[:p]
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    preperiod=st.lists(st.integers(1, 3), max_size=12),
+    period=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    repeats=st.integers(0, 5),
+    partial=st.integers(0, 5),
+)
+def test_one_pass_period_detection_matches_the_per_start_oracle(preperiod, period, repeats, partial):
+    terms = preperiod + period * repeats + period[: partial % len(period)]
+    assert _detect_period(terms) == detect_period_per_start(terms)
+
+
+def test_period_detection_edge_cases():
+    assert _detect_period([]) is None
+    assert _detect_period([1, 2]) is None
+    assert _detect_period([7, 7, 7]) == (0, [7])
+    assert _detect_period([5, 1, 2, 1, 2, 1, 2]) == (1, [1, 2])

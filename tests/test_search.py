@@ -1,6 +1,7 @@
 import os
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -220,6 +221,17 @@ def test_ie_sweep_small():
     assert rep.violations == ()
     assert rep.baselines[(1, 2)] == (169, 14)
     assert rep.checked > 0
+
+
+@pytest.mark.parametrize("base", [(1, 2), (2, 3), (3, 5), (1, 3)])
+def test_ie_sweep_matches_a_fraction_comparison(base):
+    b_max = 120
+    base_eta = cf_eta(*base)
+    pairs = [(a2, b2) for b2 in range(base[1], b_max) for a2 in range(1, b2 + 1)
+             if gcd(a2, b2) == 1 and (a2, b2) != base]
+    rep = ie_sweep([base], b_max)
+    assert rep.checked == len(pairs)
+    assert rep.violations == tuple((base, p) for p in pairs if not base_eta < cf_eta(*p))
 
 
 def test_ie_sweep_example_comparison():
