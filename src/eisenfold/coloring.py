@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
-from .surface import DOWN, UP, QuotientComplex, plane_neighbor
+from .surface import CORNERS, DOWN, NEIGHBOR, UP, QuotientComplex
 
 
 class GoodnessError(ValueError):
@@ -338,22 +338,6 @@ def monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
     return out
 
 
-def _tri_sides(anchor: tuple[int, int], o: int):
-    """Directed ccw sides of a plane triangle, as ((start), (end)) pairs."""
-    a, b = anchor
-    if o == UP:
-        return (
-            ((a, b), (a + 1, b)),
-            ((a + 1, b), (a, b + 1)),
-            ((a, b + 1), (a, b)),
-        )
-    return (
-        ((a + 1, b), (a + 1, b + 1)),
-        ((a + 1, b + 1), (a, b + 1)),
-        ((a, b + 1), (a + 1, b)),
-    )
-
-
 def _develop(c: QuotientComplex, colors, region: frozenset[int]):
     face_at = c.face_at
     seed = min(region)
@@ -362,11 +346,13 @@ def _develop(c: QuotientComplex, colors, region: frozenset[int]):
         seed: ((t0.anchor.a, t0.anchor.b), t0.orientation)
     }
     queue = [seed]
-    while queue:
-        f = queue.pop(0)
-        anchor, o = placed[f]
-        for s in range(3):
-            (na, nb), no, _ = plane_neighbor(anchor, o, s)
+    head = 0
+    while head < len(queue):
+        f = queue[head]
+        head += 1
+        (a, b), o = placed[f]
+        for da, db, no, _ in NEIGHBOR[o]:
+            na, nb = a + da, b + db
             f2 = face_at(na, nb, no)
             if f2 not in region:
                 continue
@@ -383,16 +369,18 @@ def _develop(c: QuotientComplex, colors, region: frozenset[int]):
     if len(spots) != len(region):
         raise DevelopmentError("region development is not injective")
 
-    # boundary = directed sides not shared with another placed triangle
+    # boundary = directed sides not shared with another placed triangle;
+    # side i runs ccw from corner i to corner i + 1
     directed = {}
-    for anchor, o in spots:
-        for i, (u, v) in enumerate(_tri_sides(anchor, o)):
-            (na, nb), no, _ = plane_neighbor(anchor, o, i)
-            if ((na, nb), no) in spots:
+    for (a, b), o in spots:
+        corners = [(a + da, b + db) for da, db in CORNERS[o]]
+        for i, (da, db, no, _) in enumerate(NEIGHBOR[o]):
+            if ((a + da, b + db), no) in spots:
                 continue
+            u = corners[i]
             if u in directed:
                 raise DevelopmentError("region boundary is pinched")
-            directed[u] = v
+            directed[u] = corners[(i + 1) % 3]
     start = min(directed)
     chain = [start]
     cur = directed[start]

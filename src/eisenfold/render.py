@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .eisenstein import DomainError, EisensteinInt, canonical, is_primitive
 from .coloring import continued_fraction_coloring
 from .flower import BLACK, empty_flower
-from .surface import DOWN, UP, PlaneTriangleId, plane_neighbor
+from .surface import CORNERS, DOWN, NEIGHBOR, UP, PlaneTriangleId
 
 _SQ3_2 = 3 ** 0.5 / 2
 _FILL = {BLACK: "#000000", 1 - BLACK: "#FFFFFF"}
@@ -95,8 +94,7 @@ def render_svg(spec: RenderSpec) -> str:
     xs, ys = [], []
     polys = []
     for a, b, o in tris:
-        t = PlaneTriangleId(EisensteinInt(a, b), o)
-        pts = [_xy(v.a, v.b, scale) for v in t.vertices()]
+        pts = [_xy(a + da, b + db, scale) for da, db in CORNERS[o]]
         xs.extend(p[0] for p in pts)
         ys.extend(p[1] for p in pts)
         fill = _FILL[color_of(a, b, o)] if color_of else "#FFFFFF"
@@ -106,25 +104,23 @@ def render_svg(spec: RenderSpec) -> str:
     if spec.show_folds and color_of:
         seen = set()
         for a, b, o in tris:
-            verts = PlaneTriangleId(EisensteinInt(a, b), o).vertices()
+            verts = [(a + da, b + db) for da, db in CORNERS[o]]
             here = color_of(a, b, o)
-            for s in range(3):
+            for s, (da, db, no, _) in enumerate(NEIGHBOR[o]):
                 p, q = verts[s], verts[(s + 1) % 3]
-                key = frozenset((p.pair(), q.pair()))
+                key = frozenset((p, q))
                 if key in seen:
                     continue
                 seen.add(key)
-                mid2 = (p.a + q.a, p.b + q.b)
-                m, k, _ = _basis_coords(*mid2, delta)
+                m, k, _ = _basis_coords(p[0] + q[0], p[1] + q[1], delta)
                 if not (0 <= m < 2 * n * dom and 0 <= k < 2 * n * dom):
                     continue
-                (na, nb), no, _ = plane_neighbor((a, b), o, s)
-                if here != color_of(na, nb, no):
+                if here != color_of(a + da, b + db, no):
                     folds.append((p, q))
-        folds.sort(key=lambda e: (e[0].a, e[0].b, e[1].a, e[1].b))
+        folds.sort()
         for p, q in folds:
-            x1, y1 = _xy(p.a, p.b, scale)
-            x2, y2 = _xy(q.a, q.b, scale)
+            x1, y1 = _xy(*p, scale)
+            x2, y2 = _xy(*q, scale)
             xs.extend((x1, x2))
             ys.extend((y1, y2))
 
@@ -155,8 +151,8 @@ def render_svg(spec: RenderSpec) -> str:
     if folds:
         out.append(f'<g class="folds" stroke="{_FOLD_STROKE}" stroke-width="2.0">')
         for p, q in folds:
-            x1, y1 = _xy(p.a, p.b, scale)
-            x2, y2 = _xy(q.a, q.b, scale)
+            x1, y1 = _xy(*p, scale)
+            x2, y2 = _xy(*q, scale)
             out.append(
                 f'<line class="fold" x1="{_fmt(x1 - x0)}" y1="{_fmt(y1 - y0)}" '
                 f'x2="{_fmt(x2 - x0)}" y2="{_fmt(y2 - y0)}"/>'
@@ -178,9 +174,8 @@ def render_flower_svg(aspect: Fraction, scale: float = 40.0) -> str:
     trapezoid (one per rotation slot per continued-fraction quotient) gets
     a heavy outline, so its stripe count is the visible quotient.
     """
-    a, b = aspect.numerator, aspect.denominator
-    if gcd(a, b) != 1 or not (0 < aspect <= 1):
-        raise DomainError("aspect must be a reduced fraction in (0, 1]")
+    if not isinstance(aspect, Fraction) or not 0 < aspect <= 1:
+        raise DomainError(f"aspect must be a Fraction in (0, 1], got {aspect}")
     flower = empty_flower(aspect)
     polys = []
     for necklace_, color in flower:

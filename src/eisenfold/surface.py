@@ -14,10 +14,13 @@ index (b mod h2)*h1 + (a - floor(b/h2)*va) mod h1, so a plane triangle
 (a, b, orientation o) sits at torus face 2*index + o.  One flat table over
 these 2*norm(delta) slots gives each plane triangle's quotient face
 (`QuotientComplex.face_at`); building the complex, painting a coloring,
-developing its regions and rendering all look faces up there.
+developing its regions and rendering all look faces up there, and cross
+sides and find corners through the constant tables `NEIGHBOR` and `CORNERS`.
 
-Faces are indexed deterministically (sorted by reduced anchor, then
-orientation) so serialized output is bit-stable.
+Faces are named in scan order: the anchors of one fundamental cell are
+visited in lexicographic order, and a face is numbered when the first of
+its three rotation copies is met.  No sort is needed, and serialized
+output is bit-stable.
 """
 
 from __future__ import annotations
@@ -32,6 +35,17 @@ from .eisenstein import DomainError, EisensteinInt, canonical
 UP, DOWN = 0, 1
 _ORIENT_NAMES = ("up", "down")
 
+# CORNERS[o]: offsets from the anchor of the ccw corners of a triangle of
+# orientation o; side s runs from corner s to corner s + 1.
+CORNERS = (((0, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 1)))
+
+# NEIGHBOR[o][s] = (da, db, no, ns): across side s, the triangle (a, b, o)
+# meets the triangle (a + da, b + db, no) along that triangle's side ns.
+NEIGHBOR = (
+    ((0, -1, DOWN, 1), (0, 0, DOWN, 2), (-1, 0, DOWN, 0)),
+    ((1, 0, UP, 2), (0, 1, UP, 0), (0, 0, UP, 1)),
+)
+
 
 @dataclass(frozen=True, slots=True)
 class PlaneTriangleId:
@@ -42,23 +56,13 @@ class PlaneTriangleId:
 
     def vertices(self) -> tuple[EisensteinInt, EisensteinInt, EisensteinInt]:
         a, b = self.anchor.a, self.anchor.b
-        if self.orientation == UP:
-            return (EisensteinInt(a, b), EisensteinInt(a + 1, b), EisensteinInt(a, b + 1))
-        return (EisensteinInt(a + 1, b), EisensteinInt(a + 1, b + 1), EisensteinInt(a, b + 1))
+        return tuple(EisensteinInt(a + da, b + db) for da, db in CORNERS[self.orientation])
 
     def centroid_tripled(self) -> tuple[int, int]:
         a, b = self.anchor.a, self.anchor.b
         if self.orientation == UP:
             return (3 * a + 1, 3 * b + 1)
         return (3 * a + 2, 3 * b + 2)
-
-
-def plane_neighbor(anchor: tuple[int, int], orientation: int, side: int):
-    """The triangle sharing the given side, with the matching side index."""
-    a, b = anchor
-    if orientation == UP:
-        return (((a, b - 1), DOWN, 1), ((a, b), DOWN, 2), ((a - 1, b), DOWN, 0))[side]
-    return (((a + 1, b), UP, 2), ((a, b + 1), UP, 0), ((a, b), UP, 1))[side]
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,100 +112,98 @@ class QuotientComplex:
         h1 = n // h2
         self._h1, self._h2, self._va = h1, h2, va
 
-        def index(x: int, y: int) -> int:
-            q, j = divmod(y, h2)
-            return j * h1 + (x - q * va) % h1
-
-        # anchors of the fundamental cell {m/n delta + k/n delta*alpha : 0 <= m, k < n},
-        # scanned over its bounding box in lexicographic order, and the
-        # torus index of each
+        # anchors a + b*alpha of the fundamental cell, in lexicographic order:
+        # m = a(d1 + d2) + b*d2 and k = b*d1 - a*d2 must lie in [0, n), which
+        # bounds b in each column by floor division (for d2 = 0, m bounds a).
+        # The torus faces 2i + o of each anchor join rotation orbits of
+        # exactly 3 members, and the first member met is the least.
         red: list[tuple[int, int] | None] = [None] * n
-        anchors = []
-        for a in range(-d2 - 1, d1 + 2):
-            m_base = a * (d1 + d2)
-            k_base = -a * d2
-            for b in range(-1, d1 + 2 * d2 + 2):
-                if not (0 <= m_base + b * d2 < n and 0 <= k_base + b * d1 < n):
-                    continue
-                i = index(a, b)
+        face_of = [-1] * (2 * n)
+        shift_of = [0] * (2 * n)
+        tris: list[tuple[int, int, int]] = []
+        anchors = 0
+        for a in range(-d2, d1 + 1):
+            m0, k0 = a * (d1 + d2), a * d2
+            lo, hi = -(-k0 // d1), (n - 1 + k0) // d1
+            if d2:
+                lo, hi = max(lo, -(m0 // d2)), min(hi, (n - 1 - m0) // d2)
+            elif not 0 <= m0 < n:
+                continue
+            for b in range(lo, hi + 1):
+                q, j = divmod(b, h2)
+                i = j * h1 + (a - q * va) % h1
                 if red[i] is not None:
                     raise AssertionError(f"anchors {red[i]} and {(a, b)} share torus index {i}")
                 red[i] = (a, b)
-                anchors.append((a, b, i))
-        if len(anchors) != n:
-            raise AssertionError(f"found {len(anchors)} anchors, expected {n}")
-
-        # rotation orbits of torus faces 2i + o; every orbit has exactly 3
-        # members, and the first met in lexicographic order is the least
-        face_of = [-1] * (2 * n)
-        shift_of = [0] * (2 * n)
-        faces = []
-        for a, b, i in anchors:
-            for o in (UP, DOWN):
-                t0 = 2 * i + o
-                if face_of[t0] >= 0:
-                    continue
-                orbit = [t0]
-                x, y = a, b
-                for _ in range(3):
-                    # z -> alpha^2 z carries the anchor z to alpha^2 z - 1 - o
-                    x, y = -x - y - 1 - o, x
-                    orbit.append(2 * index(x, y) + o)
-                if len(set(orbit[:3])) != 3 or orbit[3] != t0:
-                    raise AssertionError(f"degenerate rotation orbit at {(a, b, o)}")
-                f = len(faces)
-                # k = rotation applications carrying a member onto the
-                # representative; side labels shift by +k under each
-                for t, k in zip(orbit, (0, 2, 1)):
-                    face_of[t] = f
-                    shift_of[t] = k
-                faces.append(PlaneTriangleId(EisensteinInt(a, b), o))
+                anchors += 1
+                for o in (UP, DOWN):
+                    t0 = 2 * i + o
+                    if face_of[t0] >= 0:
+                        continue
+                    # z -> alpha^2 z carries the anchor z to alpha^2 z - 1 - o;
+                    # its cube is the identity, so the orbit is t0, t1, t2
+                    x1, y1 = -a - b - 1 - o, a
+                    x2, y2 = -x1 - y1 - 1 - o, x1
+                    q1, j1 = divmod(y1, h2)
+                    q2, j2 = divmod(y2, h2)
+                    t1 = 2 * (j1 * h1 + (x1 - q1 * va) % h1) + o
+                    t2 = 2 * (j2 * h1 + (x2 - q2 * va) % h1) + o
+                    if t0 == t1 or t1 == t2 or t2 == t0:
+                        raise AssertionError(f"degenerate rotation orbit at {(a, b, o)}")
+                    # k = rotation applications carrying a member onto the
+                    # representative; side labels shift by +k under each
+                    face_of[t0] = face_of[t1] = face_of[t2] = len(tris)
+                    shift_of[t1], shift_of[t2] = 2, 1
+                    tris.append((a, b, o))
+        if anchors != n:
+            raise AssertionError(f"found {anchors} anchors, expected {n}")
         self._face_of = face_of
-        self.faces = faces
-        self.face_count = len(faces)
+        self.face_count = len(tris)
         if self.face_count != 2 * self.beta.norm():
             raise AssertionError("face count must be 2*norm(beta)")
 
         # edge pairing: cross each side in the plane, look the neighbour up,
-        # shift its side by k
+        # shift its side by k.  Vertex orbits under the residual rotation
+        # z -> alpha^2 z are numbered in order of first corner, and each
+        # orbit is classified once.
         pairing: list[list[tuple[int, int]]] = []
-        for tri in faces:
+        face_vertices: list[tuple[int, int, int]] = []
+        vid = [-1] * n
+        vpoints: list[tuple[int, int]] = []
+        degrees: list[int] = []
+        for a, b, o in tris:
             row = []
-            pa, pb = tri.anchor.a, tri.anchor.b
-            for s in range(3):
-                (na, nb), no, ns = plane_neighbor((pa, pb), tri.orientation, s)
-                t = 2 * index(na, nb) + no
+            for da, db, no, ns in NEIGHBOR[o]:
+                q, j = divmod(b + db, h2)
+                t = 2 * (j * h1 + (a + da - q * va) % h1) + no
                 row.append((face_of[t], (ns + shift_of[t]) % 3))
             pairing.append(row)
+            ids = []
+            for da, db in CORNERS[o]:
+                x, y = a + da, b + db
+                q, j = divmod(y, h2)
+                i = j * h1 + (x - q * va) % h1
+                v = vid[i]
+                if v < 0:
+                    v = len(vpoints)
+                    # the rotated points (-x - y, x) and (y, -x - y)
+                    q1, j1 = divmod(x, h2)
+                    q2, j2 = divmod(-x - y, h2)
+                    i1 = j1 * h1 + (-x - y - q1 * va) % h1
+                    i2 = j2 * h1 + (y - q2 * va) % h1
+                    vid[i] = vid[i1] = vid[i2] = v
+                    vpoints.append(min(red[i], red[i1], red[i2]))
+                    degrees.append(0)
+                degrees[v] += 1
+                ids.append(v)
+            face_vertices.append(tuple(ids))
         for i, row in enumerate(pairing):
             for s, (j, s2) in enumerate(row):
                 if pairing[j][s2] != (i, s) or (j, s2) == (i, s):
                     raise AssertionError("edge pairing is not a free involution")
         self.pairing = pairing
-
-        # vertex orbits under the residual rotation z -> alpha^2 z, numbered
-        # in order of first corner; each orbit is classified once
-        vid = [-1] * n
-        vpoints: list[tuple[int, int]] = []
-        degrees: list[int] = []
-        face_vertices: list[tuple[int, int, int]] = []
-        for tri in faces:
-            ids = []
-            for p in tri.vertices():
-                x, y = p.a, p.b
-                i = index(x, y)
-                v = vid[i]
-                if v < 0:
-                    v = len(vpoints)
-                    members = [i, index(-x - y, x), index(y, -x - y)]
-                    for m in members:
-                        vid[m] = v
-                    vpoints.append(min(red[m] for m in members))
-                    degrees.append(0)
-                degrees[v] += 1
-                ids.append(v)
-            face_vertices.append(tuple(ids))
         self.face_vertices = face_vertices
+        self.faces = [PlaneTriangleId(EisensteinInt(a, b), o) for a, b, o in tris]
         self.vertices = [
             VertexOrbit(EisensteinInt(*p), degrees[i]) for i, p in enumerate(vpoints)
         ]

@@ -36,13 +36,15 @@ from eisenfold.limits import (
 from eisenfold.render import RenderSpec, render_svg
 from eisenfold.search import (
     SearchBudget,
-    brute_force_good_colorings,
     ie_sweep,
     iter_good_colorings,
     min_fold_search,
 )
 from eisenfold.surd import QuadraticSurd
 from eisenfold.surface import build_complex
+
+from oracles import brute_force_good_colorings
+
 
 FIB_TABLE = {
     2: ((1, 2), 13, 14),

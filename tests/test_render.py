@@ -61,6 +61,17 @@ def test_flower_render_validates_aspect():
         render_flower_svg(Fraction(3, 2))
 
 
+@pytest.mark.parametrize("aspect", [Fraction(0), 0.5, 1, "1/2"])
+def test_flower_render_takes_only_a_fraction_in_unit_interval(aspect):
+    with pytest.raises(DomainError):
+        render_flower_svg(aspect)
+
+
+def test_flower_render_of_an_unreduced_fraction_is_its_reduced_form():
+    # Fraction normalizes 2/4 to 1/2; the CLI rejects the text "2/4" itself
+    assert render_flower_svg(Fraction(2, 4)) == render_flower_svg(Fraction(1, 2))
+
+
 # sha256 of the default colored SVG, recorded while render still classified
 # each triangle through CappedFlower.color_at
 SVG_PINS = {

@@ -17,7 +17,6 @@ from eisenfold.flower import BLACK, WHITE, cf_eta
 from eisenfold.search import (
     SearchBudget,
     SwapError,
-    brute_force_good_colorings,
     enumerate_good_colorings,
     ie_sweep,
     iter_good_colorings,
@@ -27,6 +26,8 @@ from eisenfold.search import (
 )
 from eisenfold.search import _fold_floor, _star_table
 from eisenfold.surface import build_complex
+
+from oracles import brute_force_good_colorings
 
 
 def test_taco_enumeration():

@@ -4,15 +4,25 @@ from math import gcd
 
 import pytest
 
-from eisenfold.eisenstein import DomainError, EisensteinInt
+from eisenfold.eisenstein import DomainError, EisensteinInt, canonical
 from eisenfold.surface import (
+    CORNERS,
     DOWN,
+    NEIGHBOR,
     UP,
     PlaneTriangleId,
+    VertexOrbit,
     build_complex,
     degree_sequence,
-    plane_neighbor,
 )
+
+
+def plane_neighbor(anchor: tuple[int, int], orientation: int, side: int):
+    """Oracle: the triangle sharing the given side, with the matching side index."""
+    a, b = anchor
+    if orientation == UP:
+        return (((a, b - 1), DOWN, 1), ((a, b), DOWN, 2), ((a - 1, b), DOWN, 0))[side]
+    return (((a + 1, b), UP, 2), ((a, b + 1), UP, 0), ((a, b), UP, 1))[side]
 
 
 def test_taco():
@@ -235,3 +245,128 @@ def test_face_at_matches_reduction_oracle(beta, h2):
         f = face(a, b, o)
         assert c.face_at(a, b, o) == f
         assert c.project(PlaneTriangleId(EisensteinInt(a, b), o)) == f
+
+
+def _build_by_box_scan(beta: EisensteinInt) -> dict:
+    """Oracle: the quotient complex built by scanning the fundamental cell's
+    bounding box, with a torus-index closure, `plane_neighbor` and explicit
+    triangle corners; returns its fields by attribute name."""
+    beta = canonical(beta)
+    delta = EisensteinInt(2, -1) * beta
+    d1, d2 = delta.a, delta.b
+    n = delta.norm()
+
+    r0, r1, x0, x1, y0, y1 = d2, d1 + d2, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+    h2, va = r0, x0 * d1 - y0 * d2
+    h1 = n // h2
+
+    def index(x: int, y: int) -> int:
+        q, j = divmod(y, h2)
+        return j * h1 + (x - q * va) % h1
+
+    red = [None] * n
+    anchors = []
+    for a in range(-d2 - 1, d1 + 2):
+        m_base = a * (d1 + d2)
+        k_base = -a * d2
+        for b in range(-1, d1 + 2 * d2 + 2):
+            if not (0 <= m_base + b * d2 < n and 0 <= k_base + b * d1 < n):
+                continue
+            i = index(a, b)
+            assert red[i] is None, f"anchors {red[i]} and {(a, b)} share torus index {i}"
+            red[i] = (a, b)
+            anchors.append((a, b, i))
+    assert len(anchors) == n
+
+    face_of = [-1] * (2 * n)
+    shift_of = [0] * (2 * n)
+    faces = []
+    for a, b, i in anchors:
+        for o in (UP, DOWN):
+            t0 = 2 * i + o
+            if face_of[t0] >= 0:
+                continue
+            orbit = [t0]
+            x, y = a, b
+            for _ in range(3):
+                x, y = -x - y - 1 - o, x
+                orbit.append(2 * index(x, y) + o)
+            assert len(set(orbit[:3])) == 3 and orbit[3] == t0
+            f = len(faces)
+            for t, k in zip(orbit, (0, 2, 1)):
+                face_of[t] = f
+                shift_of[t] = k
+            faces.append(PlaneTriangleId(EisensteinInt(a, b), o))
+    assert len(faces) == 2 * beta.norm()
+
+    pairing = []
+    for tri in faces:
+        row = []
+        for s in range(3):
+            (na, nb), no, ns = plane_neighbor((tri.anchor.a, tri.anchor.b), tri.orientation, s)
+            t = 2 * index(na, nb) + no
+            row.append((face_of[t], (ns + shift_of[t]) % 3))
+        pairing.append(row)
+
+    vid = [-1] * n
+    vpoints = []
+    degrees = []
+    face_vertices = []
+    for tri in faces:
+        ids = []
+        a, b = tri.anchor.a, tri.anchor.b
+        if tri.orientation == UP:
+            corners = ((a, b), (a + 1, b), (a, b + 1))
+        else:
+            corners = ((a + 1, b), (a + 1, b + 1), (a, b + 1))
+        for x, y in corners:
+            i = index(x, y)
+            v = vid[i]
+            if v < 0:
+                v = len(vpoints)
+                members = [i, index(-x - y, x), index(y, -x - y)]
+                for m in members:
+                    vid[m] = v
+                vpoints.append(min(red[m] for m in members))
+                degrees.append(0)
+            degrees[v] += 1
+            ids.append(v)
+        face_vertices.append(tuple(ids))
+    vertices = [VertexOrbit(EisensteinInt(*p), degrees[i]) for i, p in enumerate(vpoints)]
+    return {
+        "faces": faces, "pairing": pairing, "face_vertices": face_vertices,
+        "vertices": vertices, "_face_of": face_of, "_h1": h1, "_h2": h2, "_va": va,
+    }
+
+
+_CANONICAL_NORM_150 = [
+    (a, b) for b in range(1, 13) for a in range(b + 1) if a * a + a * b + b * b <= 150
+]
+
+
+@pytest.mark.parametrize("beta", _CANONICAL_NORM_150 + [
+    (4, -1), (-3, 5), (1, 1), (4, 4), (3, 3), (6, 6), (13, 21), (1, 29),
+])
+def test_build_matches_box_scan_oracle(beta):
+    c = build_complex(EisensteinInt(*beta))
+    for name, value in _build_by_box_scan(EisensteinInt(*beta)).items():
+        assert getattr(c, name) == value, name
+
+
+def test_neighbor_and_corner_tables_match_the_plane():
+    for a, b in [(0, 0), (3, -2), (-5, 7)]:
+        for o in (UP, DOWN):
+            corners = [(a + da, b + db) for da, db in CORNERS[o]]
+            # ccw unit triangle whose corners sum to the tripled centroid
+            (x0, y0), (x1, y1), (x2, y2) = corners
+            assert (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) == 1
+            centroid = PlaneTriangleId(EisensteinInt(a, b), o).centroid_tripled()
+            assert (x0 + x1 + x2, y0 + y1 + y2) == centroid
+            for s, (da, db, no, ns) in enumerate(NEIGHBOR[o]):
+                assert plane_neighbor((a, b), o, s) == ((a + da, b + db), no, ns)
+                # the shared side, walked the other way round
+                other = [(a + da + ea, b + db + eb) for ea, eb in CORNERS[no]]
+                assert (corners[s], corners[(s + 1) % 3]) == (other[(ns + 1) % 3], other[ns])
