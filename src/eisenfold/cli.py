@@ -161,7 +161,7 @@ def _cmd_eta_limit(args) -> int:
 def _cmd_search(args) -> int:
     c = build_complex(_parse_beta(args.beta))
     budget = None
-    if args.max_nodes or args.max_seconds:
+    if args.max_nodes is not None or args.max_seconds is not None:
         budget = SearchBudget(args.max_nodes, args.max_seconds)
     rep = min_fold_search(
         c,

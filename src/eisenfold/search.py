@@ -140,6 +140,39 @@ def swappable_vertices(col: FaceColoring) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # shared DFS core
+#
+# Each vertex carries one state code 3*u + (x mod 3): u, at most 6, counts
+# its corners still uncolored and x is black minus white corners.  Goodness
+# needs x = 0 (mod 3) once u = 0, so a vertex stays completable unless u = 0
+# with x != 0, or u = 1 with x = 0 (mod 3): one more corner moves x by
+# exactly 1.  Coloring m corners of a vertex is one lookup in a table of
+# the 21 codes; the step table holds -1 where the vertex becomes infeasible.
+
+
+def _step_table(sign: int, m: int) -> tuple[int, ...]:
+    """The code after m more corners of the given sign, or -1."""
+    out = []
+    for code in range(21):
+        u, x = divmod(code, 3)
+        u, x = u - m, (x + sign * m) % 3
+        feasible = u >= 0 and not (u < 2 and (x == 0) != (u == 0))
+        out.append(3 * u + x if feasible else -1)
+    return tuple(out)
+
+
+def _undo_table(step: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a step table on the codes that it reaches."""
+    out = [-1] * 21
+    for code, after in enumerate(step):
+        if after >= 0:
+            out[after] = code
+    return tuple(out)
+
+
+# indexed [color][m] for a corner multiplicity m in {1, 2, 3}, where the
+# colors WHITE = 0 and BLACK = 1 move x by -1 and +1 per corner
+_STEP = tuple((None,) + tuple(_step_table(sign, m) for m in (1, 2, 3)) for sign in (-1, 1))
+_UNDO = tuple((None,) + tuple(_undo_table(step) for step in steps[1:]) for steps in _STEP)
 
 
 class _Tables:
@@ -147,7 +180,6 @@ class _Tables:
         self.c = c
         self.F = c.face_count
         neighbors = [[f2 for f2, _ in row] for row in c.pairing]
-        self.vtotal = [v.degree for v in c.vertices]
         deg2 = min(v for v in range(c.vertex_count) if c.vertices[v].degree == 2)
         start = sorted(f for f in range(self.F) if deg2 in c.face_vertices[f])
         order, seen = list(start), set(start)
@@ -163,89 +195,76 @@ class _Tables:
         pos = [0] * self.F
         for k, f in enumerate(order):
             pos[f] = k
-        # per face: its distinct vertices with their corner multiplicity, and
-        # one entry per side glued to a face colored before it in `order`
-        self.corners = [tuple(Counter(ids).items()) for ids in c.face_vertices]
+        # per face: one entry per side glued to a face colored before it in
+        # `order`, and per color the (vertex, table) pairs that color it
         self.earlier = [tuple(g for g in neighbors[f] if pos[g] < pos[f])
                         for f in range(self.F)]
+        corners = [tuple(Counter(ids).items()) for ids in c.face_vertices]
+        self.steps = [tuple(tuple((v, _STEP[color][m]) for v, m in cs) for color in (WHITE, BLACK))
+                      for cs in corners]
+        self.undos = [tuple(tuple((v, _UNDO[color][m]) for v, m in cs) for color in (WHITE, BLACK))
+                      for cs in corners]
+        self.start = [3 * v.degree for v in c.vertices]
 
 
 class _Budget:
-    """A node budget and a deadline, an absolute time.monotonic() instant.
-
-    The clock is read on the first node and every 2048th after it, so a
-    search started after its deadline stops at once.
-    """
+    """A node budget and a deadline, an absolute time.monotonic() instant."""
 
     def __init__(self, max_nodes=None, deadline=None):
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.nodes = 0
 
-    def spent(self) -> bool:
-        if self.max_nodes is not None and self.nodes >= self.max_nodes:
-            return True
-        if self.deadline is not None and self.nodes % 2048 == 1:
-            return time.monotonic() > self.deadline
-        return False
+    def next_check(self, nodes: int):
+        """None when the search must stop before counting one more node,
+        else the node count at which to ask again.
+
+        The clock is read on the first node of a search and every 2048th
+        after it, so a search started after its deadline stops at once.
+        """
+        limit = self.max_nodes if self.max_nodes is not None else float("inf")
+        if nodes >= limit:
+            return None
+        if self.deadline is None:
+            return limit
+        if time.monotonic() > self.deadline:
+            return None
+        return min(limit, nodes + 2048)
 
 
 class _Dfs:
     """Backtracking over good colorings with optional fold bounding.
 
-    Per vertex it keeps u, the corners still uncolored, and x, black minus
-    white corners.  Goodness needs x = 0 (mod 3) once u = 0, so a vertex
-    stays completable unless u = 0 with x != 0, or u = 1 with x = 0
-    (mod 3): one more corner moves x by exactly 1.
+    The state is the face colors, the black and white counts, and one code
+    per vertex (see _step_table).  A color is tried by looking up the step
+    table of each vertex of the face before anything changes, so an
+    infeasible child costs no undo; a committed color is undone through
+    the inverse tables.
     """
 
     def __init__(self, tables: _Tables):
         self.t = tables
         self.colors = [-1] * tables.F
-        self.u = list(tables.vtotal)
-        self.x = [0] * len(tables.vtotal)
+        self.st = list(tables.start)
         self.nb = 0
         self.nw = 0
 
     def _assign(self, f: int, color: int) -> bool:
-        """Color face f; False if one of its vertices became infeasible."""
+        """Color face f, or return False and change nothing if one of its
+        vertices would become infeasible."""
+        st = self.st
+        steps = self.t.steps[f][color]
+        for v, step in steps:
+            if step[st[v]] < 0:
+                return False
+        for v, step in steps:
+            st[v] = step[st[v]]
         self.colors[f] = color
         if color == BLACK:
             self.nb += 1
-            s = 1
         else:
             self.nw += 1
-            s = -1
-        u, x = self.u, self.x
-        ok = True
-        for v, m in self.t.corners[f]:
-            r = u[v] = u[v] - m
-            y = x[v] = x[v] + s * m
-            if r < 2 and (y % 3 == 0) != (r == 0):
-                ok = False
-        return ok
-
-    def _unassign(self, f: int, color: int) -> None:
-        self.colors[f] = -1
-        if color == BLACK:
-            self.nb -= 1
-            s = 1
-        else:
-            self.nw -= 1
-            s = -1
-        u, x = self.u, self.x
-        for v, m in self.t.corners[f]:
-            u[v] += m
-            x[v] -= s * m
-
-    def _fold_deltas(self, f: int) -> tuple[int, int]:
-        """Folds that coloring f black, resp. white, adds to the colored part."""
-        colors = self.colors
-        earlier = self.t.earlier[f]
-        blacks = 0
-        for g in earlier:
-            blacks += colors[g]  # colored faces hold BLACK = 1 or WHITE = 0
-        return len(earlier) - blacks, blacks
+        return True
 
     def _prefix(self, k: int) -> str:
         order, colors = self.t.order, self.colors
@@ -253,15 +272,13 @@ class _Dfs:
 
     def replay_prefix(self, bits: str) -> tuple[int, int] | None:
         """Assign the first len(bits) faces of the order; None if infeasible."""
+        t, colors = self.t, self.colors
         folds = 0
-        half = self.t.F // 2
+        half = t.F // 2
         for k, ch in enumerate(bits):
-            f = self.t.order[k]
-            d_black, d_white = self._fold_deltas(f)
-            if ch == "1":
-                color, folds = BLACK, folds + d_black
-            else:
-                color, folds = WHITE, folds + d_white
+            f = t.order[k]
+            color = BLACK if ch == "1" else WHITE
+            folds += sum(colors[g] != color for g in t.earlier[f])
             if not self._assign(f, color) or self.nb > half or self.nw > half:
                 return None
         return len(bits), folds
@@ -270,50 +287,70 @@ class _Dfs:
                value_order=None):
         """DFS from depth k; emit(colors, folds) at leaves with folds <= bound.
 
-        Returns True when the subtree was exhausted.  When the budget runs
-        out, every untried branch is appended to `frontier` as (prefix bits,
-        folds so far) and False is returned.  An emit that returns true
-        stops the search, which then returns None and leaves the DFS state
-        as it was at that leaf.  value_order(black folds, white folds) gives
-        the order of the two colors at a node; by default white is tried
-        first.
+        Returns True when the subtree was exhausted.  The budget is looked
+        at before a node is counted; when it runs out, that node and every
+        untried branch above it are appended to `frontier` as (prefix bits,
+        folds so far) and False is returned, so a resumed run counts each
+        node once.  An emit that returns true stops the search, which then
+        returns None and leaves the DFS state as it was at that leaf.
+        value_order(black folds, white folds) gives the order of the two
+        colors at a node; by default white is tried first.
 
         The open nodes above the current one sit on an explicit stack, so
         the depth is not limited by the interpreter's recursion limit.
         """
         t = self.t
         F, order, half = t.F, t.order, t.F // 2
-        # per open node: depth, face, choices, next choice, folds, fold deltas,
-        # whether its subtree is still complete, and the color below it
+        earlier, steps, undos = t.earlier, t.steps, t.undos
+        colors, st = self.colors, self.st
+        nb, nw, nodes = self.nb, self.nw, budget.nodes
+        check = nodes  # the node count at which the budget is next asked
+        # per open node: depth, face, choices, next choice, folds, fold
+        # deltas, and whether its subtree is still complete
         stack = []
         while True:
-            budget.nodes += 1
-            if bound[0] is not None and folds > bound[0]:
-                done = True
-            elif k == F:
-                if emit(tuple(self.colors), folds):
-                    return None
-                done = True
-            elif budget.spent():
+            if nodes >= check and (check := budget.next_check(nodes)) is None:
                 frontier.append((self._prefix(k), folds))
                 done = False
             else:
-                f = order[k]
-                d_black, d_white = self._fold_deltas(f)
-                if k == 0:
-                    choices = (BLACK,)
-                elif value_order is None:
-                    choices = (WHITE, BLACK)
+                nodes += 1
+                if bound[0] is not None and folds > bound[0]:
+                    done = True
+                elif k == F:
+                    if emit(tuple(colors), folds):
+                        self.nb, self.nw, budget.nodes = nb, nw, nodes
+                        return None
+                    done = True
                 else:
-                    choices = value_order(d_black, d_white)
-                i, complete, done = 0, True, None
+                    f = order[k]
+                    # folds that coloring f black, resp. white, adds: colored
+                    # faces hold BLACK = 1 or WHITE = 0
+                    d_white = 0
+                    for g in earlier[f]:
+                        d_white += colors[g]
+                    d_black = len(earlier[f]) - d_white
+                    if k == 0:
+                        choices = (BLACK,)
+                    elif value_order is None:
+                        choices = (WHITE, BLACK)
+                    else:
+                        choices = value_order(d_black, d_white)
+                    i, complete, done = 0, True, None
             while True:
                 if done is not None:
                     # the node at depth k is finished: resume its parent
                     if not stack:
+                        self.nb, self.nw, budget.nodes = nb, nw, nodes
                         return done
-                    k, f, choices, i, folds, d_black, d_white, complete, color = stack.pop()
-                    self._unassign(f, color)
+                    k, f, choices, i, folds, d_black, d_white, complete = stack.pop()
+                    color = colors[f]
+                    colors[f] = -1
+                    if color == BLACK:
+                        nb -= 1
+                    else:
+                        nw -= 1
+                    for v, undo in undos[f][color]:
+                        st[v] = undo[st[v]]
                     if not done:
                         complete = False
                 while i < len(choices):
@@ -325,21 +362,28 @@ class _Dfs:
                                          folds))
                         continue
                     if color == BLACK:
-                        if self.nb >= half:
+                        if nb >= half:
                             continue
-                        d = d_black
+                    elif nw >= half:
+                        continue
+                    moves = steps[f][color]
+                    for v, step in moves:
+                        if step[st[v]] < 0:
+                            break
                     else:
-                        if self.nw >= half:
-                            continue
-                        d = d_white
-                    if self._assign(f, color):
+                        for v, step in moves:
+                            st[v] = step[st[v]]
+                        colors[f] = color
+                        if color == BLACK:
+                            nb += 1
+                        else:
+                            nw += 1
                         break
-                    self._unassign(f, color)
                 else:
                     done = complete
                     continue
-                stack.append((k, f, choices, i, folds, d_black, d_white, complete, color))
-                k, folds = k + 1, folds + d
+                stack.append((k, f, choices, i, folds, d_black, d_white, complete))
+                k, folds = k + 1, folds + (d_black if color == BLACK else d_white)
                 break
 
 
@@ -383,8 +427,17 @@ def enumerate_good_colorings(c: QuotientComplex, cap: int | None = None) -> Enum
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """At most max_nodes nodes (per subtree task) and max_seconds of wall
+    time; None leaves that side unbounded."""
+
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise DomainError(f"max_nodes must be at least 1, got {self.max_nodes}")
+        if self.max_seconds is not None and not 0 < self.max_seconds < float("inf"):
+            raise DomainError(f"max_seconds must be finite and positive, got {self.max_seconds}")
 
 
 @dataclass
@@ -415,7 +468,9 @@ class SearchReport:
 
 
 def _threads_cap(requested: int | None) -> int:
-    n = requested if requested and requested > 0 else 1
+    if requested is not None and requested < 1:
+        raise DomainError(f"threads must be at least 1, got {requested}")
+    n = requested or 1
     env = os.environ.get("EISENFOLD_THREADS")
     if env:
         try:
@@ -550,20 +605,18 @@ _SPLIT_DEPTH = 8
 
 
 def _expand_prefixes(tables: _Tables, depth: int) -> list[str]:
-    """All feasible assignments of the first `depth` faces (face 0 black)."""
-    out: list[str] = []
+    """All assignments of the first `depth` faces (face 0 black) that leave
+    every vertex feasible, in DFS order; balance is left to the search."""
 
-    def rec(dfs: _Dfs, k: int, bits: str):
-        if k == depth:
-            out.append(bits)
-            return
-        f = tables.order[k]
-        for color in ((BLACK,) if k == 0 else (WHITE, BLACK)):
-            if dfs._assign(f, color):
-                rec(dfs, k + 1, bits + ("1" if color == BLACK else "0"))
-            dfs._unassign(f, color)
+    def feasible(bits: str) -> bool:
+        dfs = _Dfs(tables)
+        return all(dfs._assign(f, BLACK if ch == "1" else WHITE)
+                   for f, ch in zip(tables.order, bits))
 
-    rec(_Dfs(tables), 0, "")
+    out = [""]
+    for k in range(depth):
+        out = [bits + ch for bits in out for ch in ("1" if k == 0 else "01")
+               if feasible(bits + ch)]
     return out
 
 

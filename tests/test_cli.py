@@ -157,6 +157,15 @@ def test_search_malformed_threads_env(monkeypatch, capsys, value):
     _assert_one_error_line(capsys, cli_main(["search", "--beta", "1,2", "--threads", "2"]))
 
 
+@pytest.mark.parametrize("flags", [["--max-nodes", "0"], ["--max-nodes", "-5"],
+                                   ["--max-seconds", "0"], ["--max-seconds", "-1"],
+                                   ["--max-seconds", "nan"], ["--max-seconds", "inf"],
+                                   ["--threads", "0"], ["--threads", "-2"]])
+def test_search_rejects_reinterpreted_budgets(monkeypatch, capsys, flags):
+    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+    _assert_one_error_line(capsys, cli_main(["search", "--beta", "1,2"] + flags))
+
+
 def test_sweep_ie_cli(capsys):
     code, out = run(capsys, "sweep-ie", "--betas", "1,2", "--b-max", "20")
     assert code == 0

@@ -24,10 +24,23 @@ from eisenfold.search import (
     swappable_vertices,
     vertex_swap,
 )
-from eisenfold.search import _fold_floor, _star_table
+from eisenfold.search import (
+    _SPLIT_DEPTH,
+    _Budget,
+    _Dfs,
+    _Tables,
+    _expand_prefixes,
+    _fold_floor,
+    _star_table,
+)
 from eisenfold.surface import build_complex
 
-from oracles import brute_force_good_colorings
+from oracles import (
+    ReferenceBudget,
+    ReferenceDfs,
+    brute_force_good_colorings,
+    reference_expand_prefixes,
+)
 
 
 def test_taco_enumeration():
@@ -127,11 +140,60 @@ EXACT_PINS = {
 }
 
 
+# the same at 2 workers, whose subtree tasks prune against the initial
+# incumbent only
+EXACT_PINS_2W = {
+    (1, 2): (204, "00001110110011"),
+    (2, 3): (30_288, "00000011100111000011111011100010011011"),
+}
+
+
 @pytest.mark.parametrize("beta", sorted(EXACT_PINS))
 def test_exact_search_tree_is_pinned(beta):
     rep = min_fold_search(build_complex(EisensteinInt(*beta)), mode="exact", threads=1)
     assert rep.status == "ProvedOptimal"
     assert (rep.nodes_explored, rep.best_coloring.bitstring()) == EXACT_PINS[beta]
+
+
+@pytest.mark.parametrize("beta", sorted(EXACT_PINS_2W))
+def test_two_worker_search_tree_is_pinned(monkeypatch, beta):
+    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+    rep = min_fold_search(build_complex(EisensteinInt(*beta)), mode="exact", threads=2)
+    assert rep.status == "ProvedOptimal"
+    assert (rep.nodes_explored, rep.best_coloring.bitstring()) == EXACT_PINS_2W[beta]
+
+
+# every canonical beta of norm <= 19 (F <= 38)
+SMALL_BETAS = [(a, b) for b in range(5) for a in range(b + 1) if 0 < a * a + a * b + b * b <= 19]
+
+
+def _greedy_order(black_folds, white_folds):
+    return (BLACK, WHITE) if black_folds <= white_folds else (WHITE, BLACK)
+
+
+def _leaves(dfs_class, budget_class, tables, value_order, tighten):
+    """The (colors, folds) leaves a DFS emits and its node count, either
+    enumerating every good coloring or lowering the bound at each leaf."""
+    leaves, bound, budget = [], [None], budget_class()
+
+    def emit(cols, folds):
+        leaves.append((cols, folds))
+        if tighten and (bound[0] is None or folds < bound[0]):
+            bound[0] = folds
+
+    dfs_class(tables).search(0, 0, bound, budget, emit, [], value_order)
+    return leaves, budget.nodes
+
+
+@pytest.mark.parametrize("beta", SMALL_BETAS)
+def test_dfs_visits_the_reference_tree(beta):
+    tables = _Tables(build_complex(EisensteinInt(*beta)))
+    for value_order in (None, _greedy_order):
+        for tighten in (False, True):
+            assert (_leaves(_Dfs, _Budget, tables, value_order, tighten)
+                    == _leaves(ReferenceDfs, ReferenceBudget, tables, value_order, tighten))
+    depth = min(_SPLIT_DEPTH, tables.F - 1)
+    assert _expand_prefixes(tables, depth) == reference_expand_prefixes(tables, depth)
 
 
 def test_exact_search_1_2():
@@ -275,6 +337,25 @@ def test_resume_reaches_the_uninterrupted_best_coloring(tmp_path, monkeypatch, m
     else:
         assert not os.path.exists(ck)
     assert rep.status == "ProvedOptimal"
+    assert rep.best_coloring.colors == full.best_coloring.colors
+
+
+# a checkpoint at a node budget stops after exactly that many nodes, and its
+# resumed run counts each remaining node once
+@pytest.mark.parametrize("max_nodes", [1, 40, 3000, 28_000])
+@pytest.mark.parametrize("beta", [(1, 2), (2, 3)])
+def test_checkpoint_and_resume_count_each_node_once(tmp_path, monkeypatch, beta, max_nodes):
+    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+    c = build_complex(EisensteinInt(*beta))
+    full = min_fold_search(c, mode="exact", threads=1)
+    ck = str(tmp_path / "ck.json")
+    rep = min_fold_search(c, mode="exact", budget=SearchBudget(max_nodes=max_nodes),
+                          threads=1, checkpoint_out=ck)
+    if max_nodes < full.nodes_explored:
+        assert (rep.status, rep.nodes_explored) == ("Incumbent", max_nodes)
+        rep = min_fold_search(c, mode="exact", threads=1, resume=ck)
+    assert rep.status == "ProvedOptimal"
+    assert rep.nodes_explored == full.nodes_explored
     assert rep.best_coloring.colors == full.best_coloring.colors
 
 
