@@ -5,9 +5,6 @@ from .eisenstein import (
     DomainError,
     EisensteinInt,
     canonicalize,
-    comparison_exponent,
-    continued_fraction,
-    g_sequence,
     is_primitive,
     mul,
     slow_gauss,
@@ -24,7 +21,6 @@ from .flower import (
     cf_eta,
     cf_face_count,
     cf_fold_count,
-    color_at,
     empty_flower,
     fill_and_cap,
     necklace,

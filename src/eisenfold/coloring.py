@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
@@ -57,9 +58,7 @@ class GoodnessReport:
 
 def alternating_coloring(c: QuotientComplex) -> FaceColoring:
     """Checkerboard coloring by triangle orientation class; always good."""
-    colors = tuple(
-        BLACK if t.orientation == UP else WHITE for t in c.faces
-    )
+    colors = tuple(BLACK if o == UP else WHITE for _, _, o in c._tris)
     for f, row in enumerate(c.pairing):
         for f2, _ in row:
             if colors[f] == colors[f2]:
@@ -147,21 +146,17 @@ def continued_fraction_coloring(
     return paint_from_flower(cf, c)
 
 
-def _vertex_splits(col: FaceColoring) -> list[tuple[int, int]]:
-    c = col.complex
-    acc = [[0, 0] for _ in range(c.vertex_count)]
-    for f, ids in enumerate(c.face_vertices):
-        side = 0 if col.colors[f] == BLACK else 1
-        for v in ids:
-            acc[v][side] += 1
-    return [(b, w) for b, w in acc]
-
-
 def is_good(col: FaceColoring) -> GoodnessReport:
     """Mod-3 balance of black and white around every vertex, with mod-6 flag."""
-    splits = _vertex_splits(col)
-    violations = tuple(v for v, (b, w) in enumerate(splits) if (b - w) % 3 != 0)
-    mod6 = all((b - w) % 6 == 0 for b, w in splits)
+    # x[v] = black minus white corners at v
+    x = [0] * col.complex.vertex_count
+    for (u, v, w), color in zip(col.complex.face_vertices, col.colors):
+        s = 1 if color == BLACK else -1
+        x[u] += s
+        x[v] += s
+        x[w] += s
+    violations = tuple(v for v, d in enumerate(x) if d % 3)
+    mod6 = all(d % 6 == 0 for d in x)
     return GoodnessReport(not violations, violations, mod6)
 
 
@@ -191,17 +186,12 @@ def eta(col: FaceColoring) -> Fraction:
 # Proper vertex 4-colorings
 
 
-def _perm_sign(seq) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return 1 if inv % 2 == 0 else -1
-
-
-def _parity(x: int, y: int, z: int) -> int:
-    return _perm_sign((x, y, z, 6 - x - y - z))
+# _PARITY[(x, y, z)]: sign of the permutation (x, y, z, w) of 0..3, for
+# the 24 ordered triples of distinct colors; a repeated color has no entry
+_PARITY = {
+    p[:3]: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+    for p in permutations(range(4))
+}
 
 
 def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) -> list[int]:
@@ -217,6 +207,8 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
     if not 0 <= base_color <= 3:
         raise DomainError("base_color must be in 0..3")
     c = col.complex
+    if not 0 <= base < c.vertex_count:
+        raise DomainError(f"no such vertex {base}")
     target = [1 if x == BLACK else -1 for x in col.colors]
     vcolor = [-1] * c.vertex_count
 
@@ -234,7 +226,7 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
         missing = [i for i, x in enumerate(known) if x < 0]
         if len(missing) != 1:
             if not missing:
-                if _parity(*known) != target[f]:
+                if _PARITY.get(tuple(known)) != target[f]:
                     raise GoodnessError(f"orientation parity clash at face {f}")
             return False
         i = missing[0]
@@ -246,7 +238,7 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
         picked = None
         for cand in cands:
             trial[i] = cand
-            if _parity(*trial) == target[f]:
+            if _PARITY[tuple(trial)] == target[f]:
                 picked = cand
                 break
         if picked is None:
@@ -257,8 +249,10 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
     force_third(f0)
     seen = {f0}
     queue = [f0]
-    while queue:
-        f = queue.pop(0)
+    head = 0
+    while head < len(queue):
+        f = queue[head]
+        head += 1
         for f2, _ in c.pairing[f]:
             if f2 not in seen:
                 seen.add(f2)
@@ -268,8 +262,7 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
         raise AssertionError("propagation did not reach the whole surface")
 
     for f, (a, b, cc) in enumerate(c.face_vertices):
-        tri = (vcolor[a], vcolor[b], vcolor[cc])
-        if len(set(tri)) != 3 or _parity(*tri) != target[f]:
+        if _PARITY.get((vcolor[a], vcolor[b], vcolor[cc])) != target[f]:
             raise GoodnessError(f"verification failed at face {f}")
     return vcolor
 
@@ -278,10 +271,10 @@ def induced_face_coloring(c: QuotientComplex, vcolor: list[int]) -> FaceColoring
     """Face coloring read back from a proper vertex 4-coloring."""
     colors = []
     for a, b, cc in c.face_vertices:
-        tri = (vcolor[a], vcolor[b], vcolor[cc])
-        if len(set(tri)) != 3:
+        sign = _PARITY.get((vcolor[a], vcolor[b], vcolor[cc]))
+        if sign is None:
             raise DomainError("vertex coloring is not proper on some face")
-        colors.append(BLACK if _parity(*tri) > 0 else WHITE)
+        colors.append(BLACK if sign > 0 else WHITE)
     return FaceColoring(c, tuple(colors))
 
 

@@ -138,68 +138,11 @@ def slow_gauss(r: Fraction) -> Fraction:
     return Fraction(lo, hi)
 
 
-def g_sequence(r: Fraction) -> list[Fraction]:
-    """The slow-Gauss orbit of r down to 1/1, listed in reverse.
-
-    Starts at 1/1 and ends at r; numerators are monotone non-decreasing
-    along the list because each orbit step can only shrink the numerator.
-    """
-    _check_unit_interval(r, allow_one=True)
-    orbit = [r]
-    while orbit[-1] != 1:
-        orbit.append(slow_gauss(orbit[-1]))
-    orbit.reverse()
-    return orbit
-
-
-def gauss_star(r: Fraction) -> Fraction:
-    """Traditional Gauss map q/p - floor(q/p) of r = p/q."""
-    _check_unit_interval(r, allow_one=False)
-    p, q = r.numerator, r.denominator
-    return Fraction(q % p, p)
-
-
-def comparison_exponent(r: Fraction) -> int:
-    """Smallest k with gamma^k(r) = gauss_star(r).
-
-    gauss_star of an integer reciprocal 1/n is 0, which the slow map never
-    attains; the orbit is declared terminal at 1/1 instead, giving 1/n the
-    exponent n - 1 (so comparison_exponent(1/2) = 1).
-    """
-    _check_unit_interval(r, allow_one=False)
-    target = gauss_star(r)
-    if target == 0:
-        target = Fraction(1)
-    k, cur = 0, r
-    while cur != target:
-        cur = slow_gauss(cur)
-        k += 1
-    return k
-
-
-def continued_fraction(r: Fraction) -> list[int]:
-    """Canonical partial quotients [0; a1, ..., am] of r in (0, 1].
-
-    Recorded by walking the gauss_star orbit and logging comparison
-    exponents; the terminal integer reciprocal 1/n contributes n.  The
-    canonical form has final quotient >= 2, except continued_fraction(1)
-    which is [1].
-    """
-    _check_unit_interval(r, allow_one=True)
-    if r == 1:
-        return [1]
-    quotients = [0]
-    cur = r
-    while True:
-        if cur.numerator == 1:
-            quotients.append(cur.denominator)
-            return quotients
-        quotients.append(comparison_exponent(cur))
-        cur = gauss_star(cur)
-
-
 def continued_fraction_euclid(p: int, q: int) -> list[int]:
-    """Euclidean-algorithm oracle for continued_fraction, canonical form."""
+    """Partial quotients [a0; a1, ..., am] of p/q by the Euclidean algorithm.
+
+    Canonical form: the final quotient is >= 2 unless the list has one term.
+    """
     if p <= 0 or q <= 0:
         raise DomainError("needs a positive rational")
     out = []

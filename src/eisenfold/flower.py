@@ -21,13 +21,8 @@ from fractions import Fraction
 from math import gcd
 
 from .eisenstein import DomainError, EisensteinInt, slow_gauss
-from .surface import PlaneTriangleId
 
 BLACK, WHITE = 1, 0
-
-
-class ClassificationError(RuntimeError):
-    """A plane triangle escaped the region partition; the partition must be exact."""
 
 
 def _rot_pair(p: tuple[int, int]) -> tuple[int, int]:
@@ -40,23 +35,6 @@ def _rot_poly(poly, k):
     for _ in range(k % 6):
         poly = [_rot_pair(p) for p in poly]
     return poly
-
-
-def _cross(ux, uy, vx, vy):
-    return ux * vy - uy * vx
-
-
-def _point_in_convex(poly, px, py) -> bool:
-    n = len(poly)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        if ex == 0 and ey == 0:
-            continue
-        if _cross(ex, ey, px - ax, py - ay) < 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,44 +202,6 @@ class CappedFlower:
     fill_phase: int
     _levels: tuple        # (quads_tripled per slot, color, out_norm_tripled)
     _caps: tuple          # six cap quads, tripled
-    _delta: EisensteinInt
-
-    def color_at(self, tri: PlaneTriangleId) -> int:
-        """Color of any plane triangle under the tiled coloring (total map)."""
-        cx, cy = tri.centroid_tripled()
-        return self._classify(cx, cy)
-
-    def _classify(self, cx: int, cy: int) -> int:
-        d3a, d3b = 3 * self._delta.a, 3 * self._delta.b
-        n9 = 9 * self._delta.norm()
-        # reduce into the fundamental cell of the tripled tile lattice
-        m = cx * (d3a + d3b) + cy * d3b
-        k = cy * d3a - cx * d3b
-        fu, fv = m // n9, k // n9
-        rx = cx - fu * d3a + fv * d3b
-        ry = cy - fu * d3b - fv * (d3a + d3b)
-        # the nearest tile center is one of the cell's four corners
-        for tx, ty in ((0, 0), (d3a, d3b), (-d3b, d3a + d3b), (d3a - d3b, d3a + 2 * d3b)):
-            c = self._classify_local(rx - tx, ry - ty)
-            if c is not None:
-                return c
-        raise ClassificationError(f"no region claims centroid ({cx}, {cy})")
-
-    def _classify_local(self, px: int, py: int):
-        hit = self.fill_colors.get((px, py))
-        if hit is not None:
-            return hit
-        np_ = px * px + px * py + py * py
-        for quads, color, out_norm in self._levels:
-            if np_ > out_norm:
-                break
-            for q in quads:
-                if _point_in_convex(q, px, py):
-                    return color
-        for q in self._caps:
-            if _point_in_convex(q, px, py):
-                return self.cap_color
-        return None
 
     def regions(self):
         """All paint regions of one fundamental cell.
@@ -337,7 +277,6 @@ def fill_and_cap(
         fill_phase=fill_phase,
         _levels=tuple(levels),
         _caps=caps,
-        _delta=EisensteinInt(2, -1) * EisensteinInt(a, b),
     )
     # area audit: necklaces + fill + caps account for the whole tile
     total = sum(n.triangle_capacity() for n in necklaces) + 6 + 6 * a * b
@@ -352,10 +291,6 @@ def capped_flower(beta: EisensteinInt, swap: bool = False, fill_phase: int = 0) 
     if gcd(a, b) != 1 or not (1 <= a <= b):
         raise DomainError(f"need canonical primitive beta with 1 <= a <= b, got ({a}, {b})")
     return fill_and_cap(empty_flower(Fraction(a, b)), beta, swap, fill_phase)
-
-
-def color_at(cf: CappedFlower, tri: PlaneTriangleId) -> int:
-    return cf.color_at(tri)
 
 
 def stripe_counts(cf: CappedFlower) -> list[int]:

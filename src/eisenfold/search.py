@@ -61,7 +61,7 @@ class _StarTable:
         n = c.vertex_count
         self.stars: list[tuple[int, ...] | None] = [None] * n
         for v in range(n):
-            if c.vertices[v].degree == 6:
+            if c.degrees[v] == 6:
                 star = tuple(c.vertex_star(v))
                 if len(set(star)) == 6:
                     self.stars[v] = star
@@ -123,8 +123,8 @@ def vertex_swap(col: FaceColoring, v: int) -> FaceColoring:
     c = col.complex
     if not 0 <= v < c.vertex_count:
         raise DomainError(f"no such vertex {v}")
-    if c.vertices[v].degree != 6:
-        raise SwapError(f"vertex {v} has degree {c.vertices[v].degree}, need 6")
+    if c.degrees[v] != 6:
+        raise SwapError(f"vertex {v} has degree {c.degrees[v]}, need 6")
     star = _star_table(c).stars[v]
     if star is None:
         raise SwapError("star revisits a face; colors cannot alternate")
@@ -180,7 +180,7 @@ class _Tables:
         self.c = c
         self.F = c.face_count
         neighbors = [[f2 for f2, _ in row] for row in c.pairing]
-        deg2 = min(v for v in range(c.vertex_count) if c.vertices[v].degree == 2)
+        deg2 = c.degrees.index(2)
         start = sorted(f for f in range(self.F) if deg2 in c.face_vertices[f])
         order, seen = list(start), set(start)
         i = 0
@@ -204,7 +204,7 @@ class _Tables:
                       for cs in corners]
         self.undos = [tuple(tuple((v, _UNDO[color][m]) for v, m in cs) for color in (WHITE, BLACK))
                       for cs in corners]
-        self.start = [3 * v.degree for v in c.vertices]
+        self.start = [3 * d for d in c.degrees]
 
 
 class _Budget:

@@ -26,6 +26,7 @@ output is bit-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .eisenstein import DomainError, EisensteinInt, canonical
 
@@ -80,9 +81,19 @@ class QuotientComplex:
     are numbered in that order.  `face_at` maps any plane triangle to its
     face through the torus index.
 
-    Immutable after construction, apart from the vertex -> (face, corner)
-    start index that the first `vertex_star` call fills in; safe to share
-    across concurrent readers (racing readers build equal indexes).
+    The complex is held in flat tables of ints and tuples of ints, which
+    the cyclic garbage collector untracks: `_tris` gives face f's anchor
+    and orientation (a, b, o), `_vpoints` and `degrees` vertex v's reduced
+    representative point and degree, `face_vertices` the ccw corners of
+    each face and `pairing` one tuple row of three (face, side) pairs per
+    face.  `faces` and `vertices` are the same data as `PlaneTriangleId`
+    and `VertexOrbit` objects, built on first access; no method here reads
+    them.
+
+    Immutable after construction, apart from those two views and the
+    vertex -> (face, corner) start index that the first `vertex_star` call
+    fills in; safe to share across concurrent readers (racing readers
+    build equal values).
     """
 
     _star_starts: list[tuple[int, int]] | None = None
@@ -166,7 +177,7 @@ class QuotientComplex:
         # shift its side by k.  Vertex orbits under the residual rotation
         # z -> alpha^2 z are numbered in order of first corner, and each
         # orbit is classified once.
-        pairing: list[list[tuple[int, int]]] = []
+        pairing: list[tuple[tuple[int, int], ...]] = []
         face_vertices: list[tuple[int, int, int]] = []
         vid = [-1] * n
         vpoints: list[tuple[int, int]] = []
@@ -177,7 +188,7 @@ class QuotientComplex:
                 q, j = divmod(b + db, h2)
                 t = 2 * (j * h1 + (a + da - q * va) % h1) + no
                 row.append((face_of[t], (ns + shift_of[t]) % 3))
-            pairing.append(row)
+            pairing.append(tuple(row))
             ids = []
             for da, db in CORNERS[o]:
                 x, y = a + da, b + db
@@ -203,16 +214,28 @@ class QuotientComplex:
                     raise AssertionError("edge pairing is not a free involution")
         self.pairing = pairing
         self.face_vertices = face_vertices
-        self.faces = [PlaneTriangleId(EisensteinInt(a, b), o) for a, b, o in tris]
-        self.vertices = [
-            VertexOrbit(EisensteinInt(*p), degrees[i]) for i, p in enumerate(vpoints)
-        ]
-        self.vertex_count = len(self.vertices)
+        self._tris = tris
+        self._vpoints = vpoints
+        self.degrees = degrees
+        self.vertex_count = len(vpoints)
         if self.vertex_count != self.beta.norm() + 2:
             raise AssertionError("vertex count must be norm(beta) + 2")
         flat = sorted(degrees)
         if flat[:3] != [2, 2, 2] or any(d != 6 for d in flat[3:]):
             raise AssertionError(f"unexpected degree multiset {flat}")
+
+    @cached_property
+    def faces(self) -> list[PlaneTriangleId]:
+        """Each face's canonical plane triangle, built on first access."""
+        return [PlaneTriangleId(EisensteinInt(a, b), o) for a, b, o in self._tris]
+
+    @cached_property
+    def vertices(self) -> list[VertexOrbit]:
+        """Each vertex's reduced representative point and degree, built on first access."""
+        return [
+            VertexOrbit(EisensteinInt(x, y), d)
+            for (x, y), d in zip(self._vpoints, self.degrees)
+        ]
 
     # -- queries -----------------------------------------------------------
 
@@ -223,14 +246,17 @@ class QuotientComplex:
 
     def lift(self, face: int) -> PlaneTriangleId:
         """The canonical planar representative of a face (section of project)."""
-        return self.faces[face]
+        if not 0 <= face < self.face_count:
+            raise DomainError(f"no such face {face}")
+        a, b, o = self._tris[face]
+        return PlaneTriangleId(EisensteinInt(a, b), o)
 
     def project(self, tri: PlaneTriangleId) -> int:
         """Face index of any planar triangle's orbit; constant on orbits."""
         return self.face_at(tri.anchor.a, tri.anchor.b, tri.orientation)
 
     def degree_sequence(self) -> list[int]:
-        return sorted(v.degree for v in self.vertices)
+        return sorted(self.degrees)
 
     def vertex_star(self, v: int) -> list[int]:
         """Faces around vertex v in cyclic order (length = degree).
@@ -259,9 +285,9 @@ class QuotientComplex:
             f, c = f2, c2
             if (f, c) == start:
                 break
-            if len(cycle) > self.vertices[v].degree:
+            if len(cycle) > self.degrees[v]:
                 raise AssertionError("vertex star does not close up")
-        if len(cycle) != self.vertices[v].degree:
+        if len(cycle) != self.degrees[v]:
             raise AssertionError("star length disagrees with degree")
         return cycle
 
@@ -282,21 +308,15 @@ class QuotientComplex:
             "beta": [jint(self.beta.a), jint(self.beta.b)],
             "delta": [jint(self.delta.a), jint(self.delta.b)],
             "faces": [
-                {
-                    "anchor": [jint(t.anchor.a), jint(t.anchor.b)],
-                    "orientation": _ORIENT_NAMES[t.orientation],
-                }
-                for t in self.faces
+                {"anchor": [jint(a), jint(b)], "orientation": _ORIENT_NAMES[o]}
+                for a, b, o in self._tris
             ],
             "pairing": [
                 [f, s, f2, s2] for (f, s), (f2, s2) in self.edges()
             ],
             "vertices": [
-                {
-                    "degree": v.degree,
-                    "representative_lattice_point": [jint(v.point.a), jint(v.point.b)],
-                }
-                for v in self.vertices
+                {"degree": d, "representative_lattice_point": [jint(x), jint(y)]}
+                for (x, y), d in zip(self._vpoints, self.degrees)
             ],
         }
 

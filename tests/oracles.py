@@ -2,11 +2,12 @@
 
 import time
 from collections import Counter
+from fractions import Fraction
 
-from eisenfold.coloring import FaceColoring, is_good
-from eisenfold.eisenstein import DomainError
-from eisenfold.flower import BLACK, WHITE
-from eisenfold.surface import QuotientComplex
+from eisenfold.coloring import FaceColoring, GoodnessError, GoodnessReport, is_good
+from eisenfold.eisenstein import DomainError, EisensteinInt, _check_unit_interval, slow_gauss
+from eisenfold.flower import BLACK, WHITE, CappedFlower
+from eisenfold.surface import PlaneTriangleId, QuotientComplex
 
 
 def brute_force_good_colorings(c: QuotientComplex) -> list[FaceColoring]:
@@ -196,3 +197,240 @@ def reference_expand_prefixes(tables, depth: int) -> list[str]:
 
     rec(ReferenceDfs(tables), 0, "")
     return out
+
+
+# ---------------------------------------------------------------------------
+# The slow-Gauss continued fraction: partial quotients recorded as
+# comparison exponents along the gauss_star orbit.  The library computes
+# them by the Euclidean algorithm (`continued_fraction_euclid`).
+
+
+def g_sequence(r: Fraction) -> list[Fraction]:
+    """The slow-Gauss orbit of r down to 1/1, listed in reverse.
+
+    Starts at 1/1 and ends at r; numerators are monotone non-decreasing
+    along the list because each orbit step can only shrink the numerator.
+    """
+    _check_unit_interval(r, allow_one=True)
+    orbit = [r]
+    while orbit[-1] != 1:
+        orbit.append(slow_gauss(orbit[-1]))
+    orbit.reverse()
+    return orbit
+
+
+def gauss_star(r: Fraction) -> Fraction:
+    """Traditional Gauss map q/p - floor(q/p) of r = p/q."""
+    _check_unit_interval(r, allow_one=False)
+    p, q = r.numerator, r.denominator
+    return Fraction(q % p, p)
+
+
+def comparison_exponent(r: Fraction) -> int:
+    """Smallest k with gamma^k(r) = gauss_star(r).
+
+    gauss_star of an integer reciprocal 1/n is 0, which the slow map never
+    attains; the orbit is declared terminal at 1/1 instead, giving 1/n the
+    exponent n - 1 (so comparison_exponent(1/2) = 1).
+    """
+    _check_unit_interval(r, allow_one=False)
+    target = gauss_star(r)
+    if target == 0:
+        target = Fraction(1)
+    k, cur = 0, r
+    while cur != target:
+        cur = slow_gauss(cur)
+        k += 1
+    return k
+
+
+def continued_fraction(r: Fraction) -> list[int]:
+    """Canonical partial quotients [0; a1, ..., am] of r in (0, 1].
+
+    Recorded by walking the gauss_star orbit and logging comparison
+    exponents; the terminal integer reciprocal 1/n contributes n.  The
+    canonical form has final quotient >= 2, except continued_fraction(1)
+    which is [1].
+    """
+    _check_unit_interval(r, allow_one=True)
+    if r == 1:
+        return [1]
+    quotients = [0]
+    cur = r
+    while True:
+        if cur.numerator == 1:
+            quotients.append(cur.denominator)
+            return quotients
+        quotients.append(comparison_exponent(cur))
+        cur = gauss_star(cur)
+
+
+# ---------------------------------------------------------------------------
+# The capped flower's plane coloring classified one triangle at a time: a
+# tripled centroid is reduced into the tile lattice's fundamental cell and
+# tested for containment in each region.  The library paints regions onto
+# faces instead (`coloring.paint_from_flower`).
+
+
+class ClassificationError(RuntimeError):
+    """A plane triangle escaped the region partition; the partition must be exact."""
+
+
+def point_in_convex(poly, px, py) -> bool:
+    n = len(poly)
+    for i in range(n):
+        ax, ay = poly[i]
+        bx, by = poly[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        if ex == 0 and ey == 0:
+            continue
+        if ex * (py - ay) - ey * (px - ax) < 0:
+            return False
+    return True
+
+
+def classify_local(cf: CappedFlower, px: int, py: int):
+    hit = cf.fill_colors.get((px, py))
+    if hit is not None:
+        return hit
+    np_ = px * px + px * py + py * py
+    for quads, color, out_norm in cf._levels:
+        if np_ > out_norm:
+            break
+        for q in quads:
+            if point_in_convex(q, px, py):
+                return color
+    for q in cf._caps:
+        if point_in_convex(q, px, py):
+            return cf.cap_color
+    return None
+
+
+def classify(cf: CappedFlower, cx: int, cy: int) -> int:
+    delta = EisensteinInt(2, -1) * cf.beta
+    d3a, d3b = 3 * delta.a, 3 * delta.b
+    n9 = 9 * delta.norm()
+    # reduce into the fundamental cell of the tripled tile lattice
+    m = cx * (d3a + d3b) + cy * d3b
+    k = cy * d3a - cx * d3b
+    fu, fv = m // n9, k // n9
+    rx = cx - fu * d3a + fv * d3b
+    ry = cy - fu * d3b - fv * (d3a + d3b)
+    # the nearest tile center is one of the cell's four corners
+    for tx, ty in ((0, 0), (d3a, d3b), (-d3b, d3a + d3b), (d3a - d3b, d3a + 2 * d3b)):
+        c = classify_local(cf, rx - tx, ry - ty)
+        if c is not None:
+            return c
+    raise ClassificationError(f"no region claims centroid ({cx}, {cy})")
+
+
+def color_at(cf: CappedFlower, tri: PlaneTriangleId) -> int:
+    """Color of any plane triangle under the tiled coloring (total map)."""
+    cx, cy = tri.centroid_tripled()
+    return classify(cf, cx, cy)
+
+
+# ---------------------------------------------------------------------------
+# Goodness and the vertex 4-coloring with a [black, white] pair per vertex,
+# a permutation sign computed per call and a list-popping BFS queue.
+
+
+def reference_vertex_splits(col: FaceColoring) -> list[tuple[int, int]]:
+    c = col.complex
+    acc = [[0, 0] for _ in range(c.vertex_count)]
+    for f, ids in enumerate(c.face_vertices):
+        side = 0 if col.colors[f] == BLACK else 1
+        for v in ids:
+            acc[v][side] += 1
+    return [(b, w) for b, w in acc]
+
+
+def reference_is_good(col: FaceColoring) -> GoodnessReport:
+    """Mod-3 balance of black and white around every vertex, with mod-6 flag."""
+    splits = reference_vertex_splits(col)
+    violations = tuple(v for v, (b, w) in enumerate(splits) if (b - w) % 3 != 0)
+    mod6 = all((b - w) % 6 == 0 for b, w in splits)
+    return GoodnessReport(not violations, violations, mod6)
+
+
+def perm_sign(seq) -> int:
+    inv = 0
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                inv += 1
+    return 1 if inv % 2 == 0 else -1
+
+
+def parity(x: int, y: int, z: int) -> int:
+    return perm_sign((x, y, z, 6 - x - y - z))
+
+
+def reference_vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) -> list[int]:
+    """Proper vertex 4-coloring whose orientation classes reproduce col.
+
+    Walking ccw around a black face reads an even permutation of its three
+    colors, around a white face an odd one.  Propagation is deterministic
+    BFS from `base`; a contradiction means the input was not good.
+    """
+    report = reference_is_good(col)
+    if not report.good:
+        raise GoodnessError(f"coloring is not good at vertices {report.violations[:6]}")
+    if not 0 <= base_color <= 3:
+        raise DomainError("base_color must be in 0..3")
+    c = col.complex
+    target = [1 if x == BLACK else -1 for x in col.colors]
+    vcolor = [-1] * c.vertex_count
+
+    f0 = min(f for f, ids in enumerate(c.face_vertices) if base in ids)
+    ids = c.face_vertices[f0]
+    k = ids.index(base)
+    v0, v1, v2 = ids[k], ids[(k + 1) % 3], ids[(k + 2) % 3]
+    vcolor[v0] = base_color
+    vcolor[v1] = (base_color + 1) % 4
+
+    def force_third(f: int) -> bool:
+        """Fill the single missing corner of f; returns False if untouched."""
+        a, b, cc = c.face_vertices[f]
+        known = [vcolor[a], vcolor[b], vcolor[cc]]
+        missing = [i for i, x in enumerate(known) if x < 0]
+        if len(missing) != 1:
+            if not missing:
+                if parity(*known) != target[f]:
+                    raise GoodnessError(f"orientation parity clash at face {f}")
+            return False
+        i = missing[0]
+        used = {x for x in known if x >= 0}
+        if len(used) != 2:
+            raise GoodnessError(f"repeated vertex colors on face {f}")
+        cands = [x for x in range(4) if x not in used]
+        trial = list(known)
+        picked = None
+        for cand in cands:
+            trial[i] = cand
+            if parity(*trial) == target[f]:
+                picked = cand
+                break
+        if picked is None:
+            raise GoodnessError(f"no consistent color at face {f}")
+        vcolor[c.face_vertices[f][i]] = picked
+        return True
+
+    force_third(f0)
+    seen = {f0}
+    queue = [f0]
+    while queue:
+        f = queue.pop(0)
+        for f2, _ in c.pairing[f]:
+            if f2 not in seen:
+                seen.add(f2)
+                force_third(f2)
+                queue.append(f2)
+    if len(seen) != c.face_count or any(x < 0 for x in vcolor):
+        raise AssertionError("propagation did not reach the whole surface")
+
+    for f, (a, b, cc) in enumerate(c.face_vertices):
+        tri = (vcolor[a], vcolor[b], vcolor[cc])
+        if len(set(tri)) != 3 or parity(*tri) != target[f]:
+            raise GoodnessError(f"verification failed at face {f}")
+    return vcolor

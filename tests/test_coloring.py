@@ -7,6 +7,7 @@ import pytest
 
 from eisenfold.eisenstein import EisensteinInt, DomainError
 from eisenfold.coloring import (
+    _PARITY,
     FaceColoring,
     GoodnessError,
     alternating_coloring,
@@ -22,8 +23,9 @@ from eisenfold.coloring import (
     to_json_dict,
     vertex_four_coloring,
 )
-from eisenfold.flower import BLACK, WHITE, capped_flower, cf_fold_count, color_at
+from eisenfold.flower import BLACK, WHITE, capped_flower, cf_fold_count
 from eisenfold.surface import build_complex
+from oracles import color_at, parity, reference_is_good, reference_vertex_four_coloring
 
 
 def all_black(c):
@@ -161,6 +163,55 @@ def test_vertex_four_coloring_rejects_bad():
     c = build_complex(EisensteinInt(1, 2))
     with pytest.raises(GoodnessError):
         vertex_four_coloring(all_black(c))
+
+
+def test_vertex_four_coloring_rejects_base_out_of_range():
+    col = continued_fraction_coloring(EisensteinInt(2, 3))
+    V = col.complex.vertex_count
+    assert len(vertex_four_coloring(col, base=V - 1)) == V
+    for base in (-1, V, 10**6):
+        with pytest.raises(DomainError, match="no such vertex"):
+            vertex_four_coloring(col, base=base)
+
+
+def test_parity_table_matches_permutation_sign():
+    triples = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)
+               if len({x, y, z}) == 3]
+    assert len(triples) == 24 and sorted(_PARITY) == triples
+    for t in triples:
+        assert _PARITY[t] == parity(*t)
+
+
+_PRIMITIVE_NORM_150 = [
+    (a, b) for b in range(1, 13) for a in range(1, b + 1)
+    if gcd(a, b) == 1 and a * a + a * b + b * b <= 150
+]
+
+
+@pytest.mark.parametrize("beta", _PRIMITIVE_NORM_150)
+def test_goodness_and_four_coloring_match_the_reference(beta):
+    c = build_complex(EisensteinInt(*beta))
+    V = c.vertex_count
+    for col in (continued_fraction_coloring(EisensteinInt(*beta), c), alternating_coloring(c)):
+        assert is_good(col) == reference_is_good(col)
+        for base, base_color in ((0, 0), (V - 1, 2), (V // 2, 3)):
+            assert (vertex_four_coloring(col, base, base_color)
+                    == reference_vertex_four_coloring(col, base, base_color))
+
+
+@pytest.mark.parametrize("beta", [(1, 2), (2, 3), (3, 5), (4, 7)])
+def test_bad_colorings_fail_like_the_reference(beta):
+    c = build_complex(EisensteinInt(*beta))
+    good = continued_fraction_coloring(EisensteinInt(*beta), c)
+    for col in (all_black(c), good.flipped([0]), good.flipped(range(0, c.face_count, 5))):
+        report = is_good(col)
+        assert not report.good
+        assert report == reference_is_good(col)
+        with pytest.raises(GoodnessError) as got:
+            vertex_four_coloring(col)
+        with pytest.raises(GoodnessError) as want:
+            reference_vertex_four_coloring(col)
+        assert str(got.value) == str(want.value)
 
 
 def test_monochrome_regions_alternating_all_triangles():

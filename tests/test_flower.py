@@ -4,14 +4,13 @@ from math import gcd
 
 import pytest
 
-from eisenfold.eisenstein import EisensteinInt, DomainError, continued_fraction
+from eisenfold.eisenstein import EisensteinInt, DomainError
 from eisenfold.flower import (
     BLACK,
     WHITE,
     capped_flower,
     cf_face_count,
     cf_fold_count,
-    color_at,
     empty_flower,
     fill_and_cap,
     necklace,
@@ -19,6 +18,7 @@ from eisenfold.flower import (
     stripe_counts,
 )
 from eisenfold.surface import DOWN, UP, PlaneTriangleId
+from oracles import color_at, continued_fraction
 
 O = EisensteinInt(0, 0)
 

@@ -73,7 +73,7 @@ def test_flower_render_of_an_unreduced_fraction_is_its_reduced_form():
 
 
 # sha256 of the default colored SVG, recorded while render still classified
-# each triangle through CappedFlower.color_at
+# each triangle one at a time (the per-triangle color_at, now in oracles.py)
 SVG_PINS = {
     (2, 3): "383a61b4f87891dbc8498744fd661636ccc5eedfb6149bee3f774626e8ccc5dd",
     (8, 13): "145180979583f23532e4e7326655dbc5b6740f49e64820bfb1998801684a92ed",

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import random
 from math import gcd
 
 import pytest
 
+from eisenfold import coloring, isoperimetric, jsonio, render
 from eisenfold.eisenstein import DomainError, EisensteinInt, canonical
 from eisenfold.surface import (
     CORNERS,
@@ -88,6 +90,14 @@ def test_project_section_and_invariance():
         else:
             rot = PlaneTriangleId(za - EisensteinInt(2, 0), DOWN)
         assert c.project(rot) == f
+
+
+def test_lift_rejects_faces_out_of_range():
+    c = build_complex(EisensteinInt(2, 3))
+    assert c.lift(c.face_count - 1) == c.faces[-1]
+    for f in (-1, c.face_count, 10**6):
+        with pytest.raises(DomainError):
+            c.lift(f)
 
 
 def test_pairing_respects_planar_adjacency():
@@ -309,7 +319,7 @@ def _build_by_box_scan(beta: EisensteinInt) -> dict:
             (na, nb), no, ns = plane_neighbor((tri.anchor.a, tri.anchor.b), tri.orientation, s)
             t = 2 * index(na, nb) + no
             row.append((face_of[t], (ns + shift_of[t]) % 3))
-        pairing.append(row)
+        pairing.append(tuple(row))
 
     vid = [-1] * n
     vpoints = []
@@ -338,7 +348,8 @@ def _build_by_box_scan(beta: EisensteinInt) -> dict:
     vertices = [VertexOrbit(EisensteinInt(*p), degrees[i]) for i, p in enumerate(vpoints)]
     return {
         "faces": faces, "pairing": pairing, "face_vertices": face_vertices,
-        "vertices": vertices, "_face_of": face_of, "_h1": h1, "_h2": h2, "_va": va,
+        "vertices": vertices, "degrees": degrees,
+        "_face_of": face_of, "_h1": h1, "_h2": h2, "_va": va,
     }
 
 
@@ -370,3 +381,24 @@ def test_neighbor_and_corner_tables_match_the_plane():
                 # the shared side, walked the other way round
                 other = [(a + da + ea, b + db + eb) for ea, eb in CORNERS[no]]
                 assert (corners[s], corners[(s + 1) % 3]) == (other[(ns + 1) % 3], other[ns])
+
+
+def test_golden_sequence_leaves_no_per_face_objects():
+    # The build, the coloring and every certificate of `eisenfold build`,
+    # `color` and `render` read the flat tables: afterwards the complex holds
+    # no per-face object that the cyclic garbage collector must trace, and
+    # its `faces` / `vertices` views were never built.
+    beta = EisensteinInt(13, 21)
+    c = build_complex(beta)
+    jsonio.dumps(c.to_json_dict())
+    col = coloring.continued_fraction_coloring(beta, c)
+    jsonio.dumps(coloring.to_json_dict(col))
+    assert coloring.is_good(col).good
+    folds = coloring.fold_count(col)
+    assert isoperimetric.region_isoperimetric_check(col).fold_total == folds
+    coloring.vertex_four_coloring(col)
+    render.render_svg(render.RenderSpec(beta=beta))
+    gc.collect()
+    assert not any(gc.is_tracked(row) for row in c.pairing)
+    assert not any(gc.is_tracked(ids) for ids in c.face_vertices)
+    assert "faces" not in c.__dict__ and "vertices" not in c.__dict__
