@@ -219,46 +219,28 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
     vcolor[v0] = base_color
     vcolor[v1] = (base_color + 1) % 4
 
-    def force_third(f: int) -> bool:
-        """Fill the single missing corner of f; returns False if untouched."""
-        a, b, cc = c.face_vertices[f]
-        known = [vcolor[a], vcolor[b], vcolor[cc]]
-        missing = [i for i, x in enumerate(known) if x < 0]
-        if len(missing) != 1:
-            if not missing:
-                if _PARITY.get(tuple(known)) != target[f]:
-                    raise GoodnessError(f"orientation parity clash at face {f}")
-            return False
-        i = missing[0]
-        used = {x for x in known if x >= 0}
-        if len(used) != 2:
-            raise GoodnessError(f"repeated vertex colors on face {f}")
-        cands = [x for x in range(4) if x not in used]
-        trial = list(known)
-        picked = None
-        for cand in cands:
-            trial[i] = cand
-            if _PARITY[tuple(trial)] == target[f]:
-                picked = cand
-                break
-        if picked is None:
-            raise GoodnessError(f"no consistent color at face {f}")
-        vcolor[c.face_vertices[f][i]] = picked
-        return True
-
-    force_third(f0)
-    seen = {f0}
+    # BFS over faces; a face with one uncolored corner gets the smaller of
+    # the two unused colors, or the other if the orientation parity
+    # disagrees.  Rotating the corners so the missing one comes first is a
+    # 3-cycle and keeps the parity.  The final loop checks every face.
+    face_vertices = c.face_vertices
+    seen = [False] * c.face_count
+    seen[f0] = True
     queue = [f0]
-    head = 0
-    while head < len(queue):
-        f = queue[head]
-        head += 1
+    for f in queue:
+        a, b, cc = face_vertices[f]
+        x, y, z = vcolor[a], vcolor[b], vcolor[cc]
+        if (x < 0) + (y < 0) + (z < 0) == 1:
+            v, p, q = (a, y, z) if x < 0 else (b, z, x) if y < 0 else (cc, x, y)
+            k = min({0, 1, 2, 3} - {p, q})
+            if _PARITY.get((k, p, q)) != target[f]:
+                k = 6 - p - q - k  # the other unused color
+            vcolor[v] = k
         for f2, _ in c.pairing[f]:
-            if f2 not in seen:
-                seen.add(f2)
-                force_third(f2)
+            if not seen[f2]:
+                seen[f2] = True
                 queue.append(f2)
-    if len(seen) != c.face_count or any(x < 0 for x in vcolor):
+    if len(queue) != c.face_count or any(x < 0 for x in vcolor):
         raise AssertionError("propagation did not reach the whole surface")
 
     for f, (a, b, cc) in enumerate(c.face_vertices):
@@ -296,110 +278,72 @@ def monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
     Each region of a good coloring develops isometrically onto a convex
     lattice polygon with interior angles 60 or 120 degrees; failure to
     embed signals a bad input.
+
+    One plane BFS per region, started at its least face on that face's
+    canonical anchor, finds, measures and places the region: a side to a
+    face of the same color places that face (or checks its earlier spot),
+    a side to the other color is one boundary side and one directed edge
+    of the polygon.  A spot holds the one face face_at gives it, so two
+    faces never share a spot.  Regions come out in order of least face.
     """
     c = col.complex
     colors = col.colors
-    comp = [-1] * c.face_count
-    comps: list[list[int]] = []
-    for f in range(c.face_count):
-        if comp[f] >= 0:
-            continue
-        comp[f] = len(comps)
-        stack = [f]
-        members = [f]
-        while stack:
-            g = stack.pop()
-            for g2, _ in c.pairing[g]:
-                if colors[g2] == colors[f] and comp[g2] < 0:
-                    comp[g2] = comp[f]
-                    stack.append(g2)
-                    members.append(g2)
-        comps.append(members)
-
-    out = []
-    for members in comps:
-        region = frozenset(members)
-        color = colors[members[0]]
-        boundary = 0
-        for f in members:
-            for f2, _ in c.pairing[f]:
-                if colors[f2] != color:
-                    boundary += 1
-        polygon = _develop(c, colors, region)
-        out.append(MonochromeRegion(color, region, boundary, polygon))
-    out.sort(key=lambda r: min(r.faces))
-    return out
-
-
-def _develop(c: QuotientComplex, colors, region: frozenset[int]):
+    tris = c._tris
     face_at = c.face_at
-    seed = min(region)
-    t0 = c.lift(seed)
-    placed: dict[int, tuple[tuple[int, int], int]] = {
-        seed: ((t0.anchor.a, t0.anchor.b), t0.orientation)
-    }
-    queue = [seed]
-    head = 0
-    while head < len(queue):
-        f = queue[head]
-        head += 1
-        (a, b), o = placed[f]
-        for da, db, no, _ in NEIGHBOR[o]:
-            na, nb = a + da, b + db
-            f2 = face_at(na, nb, no)
-            if f2 not in region:
-                continue
-            spot = ((na, nb), no)
-            if f2 in placed:
-                if placed[f2] != spot:
+    spot: list[tuple[int, int] | None] = [None] * c.face_count  # placed anchor
+    out = []
+    for seed, (a, b, _) in enumerate(tris):
+        if spot[seed] is not None:
+            continue
+        color = colors[seed]
+        spot[seed] = (a, b)
+        queue = [seed]
+        edges = []  # boundary sides, ccw, as (start, end) plane points
+        for f in queue:
+            a, b = spot[f]
+            o = tris[f][2]
+            for s, (da, db, no, _) in enumerate(NEIGHBOR[o]):
+                na, nb = a + da, b + db
+                f2 = face_at(na, nb, no)
+                if colors[f2] != color:
+                    (ua, ub), (va, vb) = CORNERS[o][s], CORNERS[o][(s + 1) % 3]
+                    edges.append(((a + ua, b + ub), (a + va, b + vb)))
+                elif spot[f2] is None:
+                    spot[f2] = (na, nb)
+                    queue.append(f2)
+                elif spot[f2] != (na, nb):
                     raise DevelopmentError("region does not embed in the plane")
-            else:
-                placed[f2] = spot
-                queue.append(f2)
-    if len(placed) != len(region):
-        raise DevelopmentError("region development did not cover the region")
-    spots = set(placed.values())
-    if len(spots) != len(region):
-        raise DevelopmentError("region development is not injective")
 
-    # boundary = directed sides not shared with another placed triangle;
-    # side i runs ccw from corner i to corner i + 1
-    directed = {}
-    for (a, b), o in spots:
-        corners = [(a + da, b + db) for da, db in CORNERS[o]]
-        for i, (da, db, no, _) in enumerate(NEIGHBOR[o]):
-            if ((a + da, b + db), no) in spots:
-                continue
-            u = corners[i]
-            if u in directed:
-                raise DevelopmentError("region boundary is pinched")
-            directed[u] = corners[(i + 1) % 3]
-    start = min(directed)
-    chain = [start]
-    cur = directed[start]
-    while cur != start:
-        chain.append(cur)
-        cur = directed[cur]
-    if len(chain) != len(directed):
-        raise DevelopmentError("region boundary is disconnected")
+        directed = dict(edges)
+        if len(directed) != len(edges):
+            raise DevelopmentError("region boundary is pinched")
+        start = min(directed)
+        chain = [start]
+        cur = directed[start]
+        while cur != start:
+            chain.append(cur)
+            cur = directed[cur]
+        if len(chain) != len(directed):
+            raise DevelopmentError("region boundary is disconnected")
 
-    # corner extraction + convexity: every turn must be to the left
-    corners = []
-    n = len(chain)
-    area2 = 0
-    for i in range(n):
-        p, q, r = chain[i - 1], chain[i], chain[(i + 1) % n]
-        d1 = (q[0] - p[0], q[1] - p[1])
-        d2 = (r[0] - q[0], r[1] - q[1])
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        if cross < 0:
-            raise DevelopmentError("region polygon is not convex")
-        if cross > 0:
-            corners.append(EisensteinInt(*q))
-        area2 += q[0] * r[1] - q[1] * r[0]
-    if area2 != len(region):
-        raise DevelopmentError("polygon area disagrees with face count")
-    return tuple(corners)
+        # corner extraction + convexity: every turn must be to the left
+        corners = []
+        n = len(chain)
+        area2 = 0
+        for i in range(n):
+            p, q, r = chain[i - 1], chain[i], chain[(i + 1) % n]
+            d1 = (q[0] - p[0], q[1] - p[1])
+            d2 = (r[0] - q[0], r[1] - q[1])
+            cross = d1[0] * d2[1] - d1[1] * d2[0]
+            if cross < 0:
+                raise DevelopmentError("region polygon is not convex")
+            if cross > 0:
+                corners.append(EisensteinInt(*q))
+            area2 += q[0] * r[1] - q[1] * r[0]
+        if area2 != len(queue):
+            raise DevelopmentError("polygon area disagrees with face count")
+        out.append(MonochromeRegion(color, frozenset(queue), len(edges), tuple(corners)))
+    return out
 
 
 def to_json_dict(col: FaceColoring) -> dict:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .eisenstein import DomainError, EisensteinInt, canonical, is_primitive
 from .coloring import continued_fraction_coloring
 from .flower import BLACK, empty_flower
-from .surface import CORNERS, DOWN, NEIGHBOR, UP, PlaneTriangleId
+from .surface import CORNERS, DOWN, NEIGHBOR, UP
 
 _SQ3_2 = 3 ** 0.5 / 2
 _FILL = {BLACK: "#000000", 1 - BLACK: "#FFFFFF"}
@@ -45,12 +45,10 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _basis_coords(x: int, y: int, delta: EisensteinInt) -> tuple[int, int, int]:
-    """(m, k, N) with point = (m/N) delta + (k/N) delta*alpha, N = norm(delta)."""
+def _basis_coords(x: int, y: int, delta: EisensteinInt) -> tuple[int, int]:
+    """(m, k) with point = (m/N) delta + (k/N) delta*alpha, N = norm(delta)."""
     d1, d2 = delta.a, delta.b
-    m = x * (d1 + d2) + y * d2
-    k = y * d1 - x * d2
-    return m, k, delta.norm()
+    return x * (d1 + d2) + y * d2, y * d1 - x * d2
 
 
 def render_svg(spec: RenderSpec) -> str:
@@ -83,8 +81,8 @@ def render_svg(spec: RenderSpec) -> str:
     for a in range(amin, amax + 1):
         for b in range(bmin, bmax + 1):
             for o in (UP, DOWN):
-                cx, cy = PlaneTriangleId(EisensteinInt(a, b), o).centroid_tripled()
-                m, k, _ = _basis_coords(cx, cy, delta)
+                # the tripled centroid of triangle (a, b, o)
+                m, k = _basis_coords(3 * a + 1 + o, 3 * b + 1 + o, delta)
                 if 0 <= m < 3 * n * dom and 0 <= k < 3 * n * dom:
                     tris.append((a, b, o))
     if len(tris) != 6 * beta.norm() * dom * dom:
@@ -112,7 +110,7 @@ def render_svg(spec: RenderSpec) -> str:
                 if key in seen:
                     continue
                 seen.add(key)
-                m, k, _ = _basis_coords(p[0] + q[0], p[1] + q[1], delta)
+                m, k = _basis_coords(p[0] + q[0], p[1] + q[1], delta)
                 if not (0 <= m < 2 * n * dom and 0 <= k < 2 * n * dom):
                     continue
                 if here != color_of(a + da, b + db, no):

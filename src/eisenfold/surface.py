@@ -312,7 +312,10 @@ class QuotientComplex:
                 for a, b, o in self._tris
             ],
             "pairing": [
-                [f, s, f2, s2] for (f, s), (f2, s2) in self.edges()
+                [f, s, f2, s2]
+                for f, row in enumerate(self.pairing)
+                for s, (f2, s2) in enumerate(row)
+                if (f, s) < (f2, s2)
             ],
             "vertices": [
                 {"degree": d, "representative_lattice_point": [jint(x), jint(y)]}

@@ -4,10 +4,17 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from eisenfold.coloring import FaceColoring, GoodnessError, GoodnessReport, is_good
+from eisenfold.coloring import (
+    DevelopmentError,
+    FaceColoring,
+    GoodnessError,
+    GoodnessReport,
+    MonochromeRegion,
+    is_good,
+)
 from eisenfold.eisenstein import DomainError, EisensteinInt, _check_unit_interval, slow_gauss
 from eisenfold.flower import BLACK, WHITE, CappedFlower
-from eisenfold.surface import PlaneTriangleId, QuotientComplex
+from eisenfold.surface import CORNERS, NEIGHBOR, PlaneTriangleId, QuotientComplex
 
 
 def brute_force_good_colorings(c: QuotientComplex) -> list[FaceColoring]:
@@ -434,3 +441,121 @@ def reference_vertex_four_coloring(col: FaceColoring, base: int = 0, base_color:
         if len(set(tri)) != 3 or parity(*tri) != target[f]:
             raise GoodnessError(f"verification failed at face {f}")
     return vcolor
+
+
+# ---------------------------------------------------------------------------
+# Monochrome regions in three passes: a component DFS over the pairing, a
+# boundary count, then a plane development of the member set that
+# re-derives shared sides from a set of placed triangles.
+
+
+def reference_monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
+    """Edge-connected components of one color, developed into the plane.
+
+    Each region of a good coloring develops isometrically onto a convex
+    lattice polygon with interior angles 60 or 120 degrees; failure to
+    embed signals a bad input.
+    """
+    c = col.complex
+    colors = col.colors
+    comp = [-1] * c.face_count
+    comps: list[list[int]] = []
+    for f in range(c.face_count):
+        if comp[f] >= 0:
+            continue
+        comp[f] = len(comps)
+        stack = [f]
+        members = [f]
+        while stack:
+            g = stack.pop()
+            for g2, _ in c.pairing[g]:
+                if colors[g2] == colors[f] and comp[g2] < 0:
+                    comp[g2] = comp[f]
+                    stack.append(g2)
+                    members.append(g2)
+        comps.append(members)
+
+    out = []
+    for members in comps:
+        region = frozenset(members)
+        color = colors[members[0]]
+        boundary = 0
+        for f in members:
+            for f2, _ in c.pairing[f]:
+                if colors[f2] != color:
+                    boundary += 1
+        polygon = _reference_develop(c, colors, region)
+        out.append(MonochromeRegion(color, region, boundary, polygon))
+    out.sort(key=lambda r: min(r.faces))
+    return out
+
+
+def _reference_develop(c: QuotientComplex, colors, region: frozenset[int]):
+    face_at = c.face_at
+    seed = min(region)
+    t0 = c.lift(seed)
+    placed: dict[int, tuple[tuple[int, int], int]] = {
+        seed: ((t0.anchor.a, t0.anchor.b), t0.orientation)
+    }
+    queue = [seed]
+    head = 0
+    while head < len(queue):
+        f = queue[head]
+        head += 1
+        (a, b), o = placed[f]
+        for da, db, no, _ in NEIGHBOR[o]:
+            na, nb = a + da, b + db
+            f2 = face_at(na, nb, no)
+            if f2 not in region:
+                continue
+            spot = ((na, nb), no)
+            if f2 in placed:
+                if placed[f2] != spot:
+                    raise DevelopmentError("region does not embed in the plane")
+            else:
+                placed[f2] = spot
+                queue.append(f2)
+    if len(placed) != len(region):
+        raise DevelopmentError("region development did not cover the region")
+    spots = set(placed.values())
+    if len(spots) != len(region):
+        raise DevelopmentError("region development is not injective")
+
+    # boundary = directed sides not shared with another placed triangle;
+    # side i runs ccw from corner i to corner i + 1
+    directed = {}
+    for (a, b), o in spots:
+        corners = [(a + da, b + db) for da, db in CORNERS[o]]
+        for i, (da, db, no, _) in enumerate(NEIGHBOR[o]):
+            if ((a + da, b + db), no) in spots:
+                continue
+            u = corners[i]
+            if u in directed:
+                raise DevelopmentError("region boundary is pinched")
+            directed[u] = corners[(i + 1) % 3]
+    start = min(directed)
+    chain = [start]
+    cur = directed[start]
+    while cur != start:
+        chain.append(cur)
+        cur = directed[cur]
+    if len(chain) != len(directed):
+        raise DevelopmentError("region boundary is disconnected")
+
+    # corner extraction + convexity: every turn must be to the left
+    corners = []
+    n = len(chain)
+    area2 = 0
+    for i in range(n):
+        p, q, r = chain[i - 1], chain[i], chain[(i + 1) % n]
+        d1 = (q[0] - p[0], q[1] - p[1])
+        d2 = (r[0] - q[0], r[1] - q[1])
+        cross = d1[0] * d2[1] - d1[1] * d2[0]
+        if cross < 0:
+            raise DevelopmentError("region polygon is not convex")
+        if cross > 0:
+            corners.append(EisensteinInt(*q))
+        area2 += q[0] * r[1] - q[1] * r[0]
+    if area2 != len(region):
+        raise DevelopmentError("polygon area disagrees with face count")
+    return tuple(corners)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import pytest
 from eisenfold.eisenstein import EisensteinInt, DomainError
 from eisenfold.coloring import (
     _PARITY,
+    DevelopmentError,
     FaceColoring,
     GoodnessError,
     alternating_coloring,
@@ -24,8 +26,15 @@ from eisenfold.coloring import (
     vertex_four_coloring,
 )
 from eisenfold.flower import BLACK, WHITE, capped_flower, cf_fold_count
+from eisenfold.search import swappable_vertices, vertex_swap
 from eisenfold.surface import build_complex
-from oracles import color_at, parity, reference_is_good, reference_vertex_four_coloring
+from oracles import (
+    color_at,
+    parity,
+    reference_is_good,
+    reference_monochrome_regions,
+    reference_vertex_four_coloring,
+)
 
 
 def all_black(c):
@@ -211,6 +220,50 @@ def test_bad_colorings_fail_like_the_reference(beta):
             vertex_four_coloring(col)
         with pytest.raises(GoodnessError) as want:
             reference_vertex_four_coloring(col)
+        assert str(got.value) == str(want.value)
+
+
+def _swap_walk(col, steps, seed):
+    """The colorings met on a seeded random walk of star swaps from col."""
+    rng = random.Random(seed)
+    out = [col]
+    for _ in range(steps):
+        options = swappable_vertices(col)
+        if not options:
+            break
+        col = vertex_swap(col, rng.choice(options))
+        out.append(col)
+    return out
+
+
+def _region_cases():
+    for beta in _PRIMITIVE_NORM_150:
+        c = build_complex(EisensteinInt(*beta))
+        yield continued_fraction_coloring(EisensteinInt(*beta), c)
+        yield alternating_coloring(c)
+    for beta in [(0, 5), (2, 4), (3, 3)]:
+        yield alternating_coloring(build_complex(EisensteinInt(*beta)))
+    for beta in [(8, 13), (0, 5)]:
+        yield from _swap_walk(alternating_coloring(build_complex(EisensteinInt(*beta))), 60, 10)
+
+
+def test_monochrome_regions_match_the_reference():
+    cases = 0
+    for col in _region_cases():
+        assert monochrome_regions(col) == reference_monochrome_regions(col)
+        cases += 1
+    assert cases == 2 * len(_PRIMITIVE_NORM_150) + 3 + 2 * 61
+
+
+@pytest.mark.parametrize("beta", [(1, 2), (2, 3), (3, 5), (4, 7)])
+def test_monochrome_regions_reject_bad_colorings_like_the_reference(beta):
+    c = build_complex(EisensteinInt(*beta))
+    good = continued_fraction_coloring(EisensteinInt(*beta), c)
+    for col in (all_black(c), good.flipped([0]), good.flipped(range(0, c.face_count, 5))):
+        with pytest.raises(DevelopmentError) as got:
+            monochrome_regions(col)
+        with pytest.raises(DevelopmentError) as want:
+            reference_monochrome_regions(col)
         assert str(got.value) == str(want.value)
 
 
