@@ -16,7 +16,6 @@ from . import jsonio
 from .coloring import (
     color_balance,
     continued_fraction_coloring,
-    eta as coloring_eta,
     fold_count,
     from_json_dict,
     is_good,
@@ -98,10 +97,11 @@ def _cmd_eta(args) -> int:
         col = _read_coloring(args.infile)
     else:
         col = continued_fraction_coloring(_parse_beta(args.beta))
-    value = coloring_eta(col)
+    f = fold_count(col)
+    value = Fraction(f * f, col.complex.face_count)
     doc = {
         "schema": "eta.v1",
-        "fold_count": fold_count(col),
+        "fold_count": f,
         "faces": col.complex.face_count,
         "eta": [jsonio.jint(value.numerator), jsonio.jint(value.denominator)],
     }
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--max-seconds", type=float)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (capped by EISENFOLD_THREADS)")
+                   help="worker processes (exact mode)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-out")
     p.add_argument("--resume")

@@ -350,12 +350,13 @@ def to_json_dict(col: FaceColoring) -> dict:
     from .jsonio import jint
 
     report = is_good(col)
-    e = eta(col)
+    f = fold_count(col)
+    e = Fraction(f * f, col.complex.face_count)
     return {
         "schema": "coloring.v1",
         "complex_ref": {"beta": [jint(col.complex.beta.a), jint(col.complex.beta.b)]},
         "colors": col.bitstring(),
-        "fold_count": jint(fold_count(col)),
+        "fold_count": jint(f),
         "eta": [jint(e.numerator), jint(e.denominator)],
         "good": report.good,
     }

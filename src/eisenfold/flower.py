@@ -293,22 +293,28 @@ def capped_flower(beta: EisensteinInt, swap: bool = False, fill_phase: int = 0) 
     return fill_and_cap(empty_flower(Fraction(a, b)), beta, swap, fill_phase)
 
 
+def _maximal_runs(necklaces) -> list[tuple[int, int]]:
+    """The (first, last) levels of each maximal trapezoid, outermost first.
+
+    A run of nested trapezoids breaks exactly after a level whose aspect
+    exceeds 1/2 (where the nesting direction turns); the innermost level,
+    of aspect 1/1, closes the last run.
+    """
+    runs, first = [], 0
+    for i, n in enumerate(necklaces):
+        if n.aspect > Fraction(1, 2):
+            runs.append((first, i))
+            first = i + 1
+    return runs
+
+
 def stripe_counts(cf: CappedFlower) -> list[int]:
     """Stripe counts of the maximal trapezoids, outermost run first.
 
-    A run of nested trapezoids breaks exactly after a level whose aspect
-    exceeds 1/2 (where the nesting direction turns); the run lengths equal
-    the continued-fraction partial quotients of the flower's aspect.
+    They equal the continued-fraction partial quotients of the flower's
+    aspect.
     """
-    runs, current = [], 0
-    for n in cf.necklaces:
-        current += 1
-        if n.aspect > Fraction(1, 2):
-            runs.append(current)
-            current = 0
-    if current:
-        runs.append(current)
-    return runs
+    return [last - first + 1 for first, last in _maximal_runs(cf.necklaces)]
 
 
 def cf_fold_count(a: int, b: int) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .eisenstein import DomainError, EisensteinInt, canonical, is_primitive
 from .coloring import continued_fraction_coloring
-from .flower import BLACK, empty_flower
+from .flower import BLACK, _maximal_runs, empty_flower
 from .surface import CORNERS, DOWN, NEIGHBOR, UP
 
 _SQ3_2 = 3 ** 0.5 / 2
@@ -182,14 +182,8 @@ def render_flower_svg(aspect: Fraction, scale: float = 40.0) -> str:
             polys.append((pts, _FILL[color]))
 
     # maximal trapezoids: runs of nested levels, one outline per slot
-    runs = []
-    start = 0
-    for i, (neck, _) in enumerate(flower):
-        if neck.aspect > Fraction(1, 2) or i == len(flower) - 1:
-            runs.append((start, i))
-            start = i + 1
     outlines = []
-    for lo, hi in runs:
+    for lo, hi in _maximal_runs([n for n, _ in flower]):
         outer = flower[lo][0]
         inner = flower[hi][0]
         for slot in range(6):

@@ -12,7 +12,6 @@ prefix followed by simulated annealing over star-swap moves.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 import weakref
@@ -150,7 +149,8 @@ def swappable_vertices(col: FaceColoring) -> list[int]:
 
 
 def _step_table(sign: int, m: int) -> tuple[int, ...]:
-    """The code after m more corners of the given sign, or -1."""
+    """The code after m more corners of the given sign (m < 0 uncolors -m
+    of them), or -1."""
     out = []
     for code in range(21):
         u, x = divmod(code, 3)
@@ -160,19 +160,12 @@ def _step_table(sign: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _undo_table(step: tuple[int, ...]) -> tuple[int, ...]:
-    """The inverse of a step table on the codes that it reaches."""
-    out = [-1] * 21
-    for code, after in enumerate(step):
-        if after >= 0:
-            out[after] = code
-    return tuple(out)
-
-
 # indexed [color][m] for a corner multiplicity m in {1, 2, 3}, where the
-# colors WHITE = 0 and BLACK = 1 move x by -1 and +1 per corner
+# colors WHITE = 0 and BLACK = 1 move x by -1 and +1 per corner.  Every code
+# a step reaches comes from a feasible code, so the step by -m corners maps
+# it back to exactly that code: the undo tables are steps by -m.
 _STEP = tuple((None,) + tuple(_step_table(sign, m) for m in (1, 2, 3)) for sign in (-1, 1))
-_UNDO = tuple((None,) + tuple(_undo_table(step) for step in steps[1:]) for steps in _STEP)
+_UNDO = tuple((None,) + tuple(_step_table(sign, -m) for m in (1, 2, 3)) for sign in (-1, 1))
 
 
 class _Tables:
@@ -238,8 +231,8 @@ class _Dfs:
     The state is the face colors, the black and white counts, and one code
     per vertex (see _step_table).  A color is tried by looking up the step
     table of each vertex of the face before anything changes, so an
-    infeasible child costs no undo; a committed color is undone through
-    the inverse tables.
+    infeasible child costs no undo; a committed color is undone by the
+    step tables of -m corners.
     """
 
     def __init__(self, tables: _Tables):
@@ -249,38 +242,30 @@ class _Dfs:
         self.nb = 0
         self.nw = 0
 
-    def _assign(self, f: int, color: int) -> bool:
-        """Color face f, or return False and change nothing if one of its
-        vertices would become infeasible."""
-        st = self.st
-        steps = self.t.steps[f][color]
-        for v, step in steps:
-            if step[st[v]] < 0:
-                return False
-        for v, step in steps:
-            st[v] = step[st[v]]
-        self.colors[f] = color
-        if color == BLACK:
-            self.nb += 1
-        else:
-            self.nw += 1
-        return True
-
     def _prefix(self, k: int) -> str:
         order, colors = self.t.order, self.colors
         return "".join("1" if colors[order[i]] == BLACK else "0" for i in range(k))
 
     def replay_prefix(self, bits: str) -> tuple[int, int] | None:
-        """Assign the first len(bits) faces of the order; None if infeasible."""
-        t, colors = self.t, self.colors
+        """Assign the first len(bits) faces of the order and return (depth,
+        folds); None, leaving the state unspecified, if a vertex becomes
+        infeasible or a color exceeds half the faces."""
+        t, colors, st = self.t, self.colors, self.st
         folds = 0
-        half = t.F // 2
         for k, ch in enumerate(bits):
             f = t.order[k]
             color = BLACK if ch == "1" else WHITE
             folds += sum(colors[g] != color for g in t.earlier[f])
-            if not self._assign(f, color) or self.nb > half or self.nw > half:
+            steps = t.steps[f][color]
+            if any(step[st[v]] < 0 for v, step in steps):
                 return None
+            for v, step in steps:
+                st[v] = step[st[v]]
+            colors[f] = color
+        self.nb = bits.count("1")
+        self.nw = len(bits) - self.nb
+        if max(self.nb, self.nw) > t.F // 2:
+            return None
         return len(bits), folds
 
     def search(self, k: int, folds: int, bound, budget: _Budget, emit, frontier,
@@ -288,13 +273,14 @@ class _Dfs:
         """DFS from depth k; emit(colors, folds) at leaves with folds <= bound.
 
         Returns True when the subtree was exhausted.  The budget is looked
-        at before a node is counted; when it runs out, that node and every
-        untried branch above it are appended to `frontier` as (prefix bits,
-        folds so far) and False is returned, so a resumed run counts each
-        node once.  An emit that returns true stops the search, which then
-        returns None and leaves the DFS state as it was at that leaf.
-        value_order(black folds, white folds) gives the order of the two
-        colors at a node; by default white is tried first.
+        at before a node is counted; when it runs out, that node and then
+        the untried choices of each open node, deepest first, are appended
+        to `frontier` as (prefix bits, folds so far), and False is returned
+        at once, so a resumed run counts each node once.  The DFS state
+        after such a stop is unspecified.  An emit that returns true stops
+        the search, which then returns None and leaves the DFS state as it
+        was at that leaf.  value_order(black folds, white folds) gives the
+        order of the two colors at a node; by default white is tried first.
 
         The open nodes above the current one sit on an explicit stack, so
         the depth is not limited by the interpreter's recursion limit.
@@ -305,62 +291,44 @@ class _Dfs:
         colors, st = self.colors, self.st
         nb, nw, nodes = self.nb, self.nw, budget.nodes
         check = nodes  # the node count at which the budget is next asked
-        # per open node: depth, face, choices, next choice, folds, fold
-        # deltas, and whether its subtree is still complete
+        # per open node: depth, face, choices, next choice, folds, fold deltas
         stack = []
         while True:
             if nodes >= check and (check := budget.next_check(nodes)) is None:
                 frontier.append((self._prefix(k), folds))
-                done = False
+                for k, _, choices, i, folds, _, _ in reversed(stack):
+                    prefix = self._prefix(k)
+                    frontier.extend((prefix + ("1" if color == BLACK else "0"), folds)
+                                    for color in choices[i:])
+                budget.nodes = nodes
+                return False
+            nodes += 1
+            if bound[0] is not None and folds > bound[0]:
+                choices = ()
+            elif k == F:
+                if emit(tuple(colors), folds):
+                    self.nb, self.nw, budget.nodes = nb, nw, nodes
+                    return None
+                choices = ()
             else:
-                nodes += 1
-                if bound[0] is not None and folds > bound[0]:
-                    done = True
-                elif k == F:
-                    if emit(tuple(colors), folds):
-                        self.nb, self.nw, budget.nodes = nb, nw, nodes
-                        return None
-                    done = True
+                f = order[k]
+                # folds that coloring f black, resp. white, adds: colored
+                # faces hold BLACK = 1 or WHITE = 0
+                d_white = 0
+                for g in earlier[f]:
+                    d_white += colors[g]
+                d_black = len(earlier[f]) - d_white
+                if k == 0:
+                    choices = (BLACK,)
+                elif value_order is None:
+                    choices = (WHITE, BLACK)
                 else:
-                    f = order[k]
-                    # folds that coloring f black, resp. white, adds: colored
-                    # faces hold BLACK = 1 or WHITE = 0
-                    d_white = 0
-                    for g in earlier[f]:
-                        d_white += colors[g]
-                    d_black = len(earlier[f]) - d_white
-                    if k == 0:
-                        choices = (BLACK,)
-                    elif value_order is None:
-                        choices = (WHITE, BLACK)
-                    else:
-                        choices = value_order(d_black, d_white)
-                    i, complete, done = 0, True, None
+                    choices = value_order(d_black, d_white)
+            i = 0
             while True:
-                if done is not None:
-                    # the node at depth k is finished: resume its parent
-                    if not stack:
-                        self.nb, self.nw, budget.nodes = nb, nw, nodes
-                        return done
-                    k, f, choices, i, folds, d_black, d_white, complete = stack.pop()
-                    color = colors[f]
-                    colors[f] = -1
-                    if color == BLACK:
-                        nb -= 1
-                    else:
-                        nw -= 1
-                    for v, undo in undos[f][color]:
-                        st[v] = undo[st[v]]
-                    if not done:
-                        complete = False
-                while i < len(choices):
+                if i < len(choices):
                     color = choices[i]
                     i += 1
-                    if not complete:
-                        # budget died in an earlier sibling: record the rest
-                        frontier.append((self._prefix(k) + ("1" if color == BLACK else "0"),
-                                         folds))
-                        continue
                     if color == BLACK:
                         if nb >= half:
                             continue
@@ -379,12 +347,22 @@ class _Dfs:
                         else:
                             nw += 1
                         break
+                elif stack:
+                    # the node at depth k is finished: resume its parent
+                    k, f, choices, i, folds, d_black, d_white = stack.pop()
+                    color = colors[f]
+                    colors[f] = -1
+                    if color == BLACK:
+                        nb -= 1
+                    else:
+                        nw -= 1
+                    for v, undo in undos[f][color]:
+                        st[v] = undo[st[v]]
                 else:
-                    done = complete
-                    continue
-                stack.append((k, f, choices, i, folds, d_black, d_white, complete))
-                k, folds = k + 1, folds + (d_black if color == BLACK else d_white)
-                break
+                    self.nb, self.nw, budget.nodes = nb, nw, nodes
+                    return True
+            stack.append((k, f, choices, i, folds, d_black, d_white))
+            k, folds = k + 1, folds + (d_black if color == BLACK else d_white)
 
 
 # ---------------------------------------------------------------------------
@@ -467,22 +445,6 @@ class SearchReport:
         return doc
 
 
-def _threads_cap(requested: int | None) -> int:
-    if requested is not None and requested < 1:
-        raise DomainError(f"threads must be at least 1, got {requested}")
-    n = requested or 1
-    env = os.environ.get("EISENFOLD_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise DomainError(f"EISENFOLD_THREADS must be a positive integer, got {env!r}")
-        n = min(n, cap)
-    return n
-
-
 def _seed_colorings(c: QuotientComplex) -> list[FaceColoring]:
     seeds = [alternating_coloring(c)]
     a, b = c.beta.a, c.beta.b
@@ -531,18 +493,24 @@ def min_fold_search(
     happened to exhaust the tree.
     Both modes report ProvedOptimal when the best fold meets the floor
     `_fold_floor`, and never a lower bound below it.  `budget.max_seconds`
-    is one deadline for the whole run, every worker included.
+    is one deadline for the whole run, every worker included.  threads,
+    checkpoint_out and resume belong to exact mode; anytime mode rejects
+    them (threads=1 aside).
     """
     if mode not in ("exact", "anytime"):
         raise DomainError(f"unknown mode {mode!r}")
+    if threads is not None and threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
+    if mode == "anytime" and (threads not in (None, 1) or checkpoint_out is not None
+                              or resume is not None):
+        raise DomainError("threads, checkpoint_out and resume apply to exact mode only")
     t0 = time.monotonic()
-    nthreads = _threads_cap(threads)
     max_nodes = budget.max_nodes if budget else None
     seconds = budget.max_seconds if budget else None
     if mode == "exact":
         deadline = t0 + seconds if seconds else None
         best_fold, best, complete, nodes, lb = _exact_search(
-            c, max_nodes, deadline, nthreads, checkpoint_out, resume)
+            c, max_nodes, deadline, threads or 1, checkpoint_out, resume)
     else:
         best_fold, best, complete, nodes, lb = _anytime_search(
             c, max_nodes, t0 + (seconds or 60.0), seed)
@@ -605,18 +573,13 @@ _SPLIT_DEPTH = 8
 
 
 def _expand_prefixes(tables: _Tables, depth: int) -> list[str]:
-    """All assignments of the first `depth` faces (face 0 black) that leave
-    every vertex feasible, in DFS order; balance is left to the search."""
-
-    def feasible(bits: str) -> bool:
-        dfs = _Dfs(tables)
-        return all(dfs._assign(f, BLACK if ch == "1" else WHITE)
-                   for f, ch in zip(tables.order, bits))
+    """All assignments of the first `depth` faces (face 0 black) that
+    replay_prefix accepts, in DFS order."""
 
     out = [""]
     for k in range(depth):
         out = [bits + ch for bits in out for ch in ("1" if k == 0 else "01")
-               if feasible(bits + ch)]
+               if _Dfs(tables).replay_prefix(bits + ch) is not None]
     return out
 
 

@@ -151,19 +151,22 @@ def test_search_budget_exit_2(capsys):
     assert json.loads(out)["status"] == "Incumbent"
 
 
-@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
-def test_search_malformed_threads_env(monkeypatch, capsys, value):
-    monkeypatch.setenv("EISENFOLD_THREADS", value)
-    _assert_one_error_line(capsys, cli_main(["search", "--beta", "1,2", "--threads", "2"]))
-
-
 @pytest.mark.parametrize("flags", [["--max-nodes", "0"], ["--max-nodes", "-5"],
                                    ["--max-seconds", "0"], ["--max-seconds", "-1"],
                                    ["--max-seconds", "nan"], ["--max-seconds", "inf"],
                                    ["--threads", "0"], ["--threads", "-2"]])
-def test_search_rejects_reinterpreted_budgets(monkeypatch, capsys, flags):
-    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+def test_search_rejects_reinterpreted_budgets(capsys, flags):
     _assert_one_error_line(capsys, cli_main(["search", "--beta", "1,2"] + flags))
+
+
+# these flags belong to exact mode; anytime mode would ignore them
+@pytest.mark.parametrize("flags", [["--threads", "4"], ["--checkpoint-out", "ck.json"],
+                                   ["--resume", "missing.json"]])
+def test_anytime_search_rejects_exact_only_flags(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    _assert_one_error_line(capsys, cli_main(["search", "--beta", "1,2", "--mode", "anytime"]
+                                            + flags))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_ie_cli(capsys):

@@ -85,3 +85,19 @@ SVG_PINS = {
 def test_colored_svg_bytes_are_pinned(beta):
     svg = render_svg(RenderSpec(beta=EisensteinInt(*beta)))
     assert hashlib.sha256(svg.encode()).hexdigest() == SVG_PINS[beta]
+
+
+# sha256 of the flower diagram, recorded while render_flower_svg still found
+# the maximal-trapezoid runs by a rule of its own
+FLOWER_SVG_PINS = {
+    (3, 7): "c66e63085b0898f5c6bb466ae075d509aec13a461ca276c191f1cc2c6c910a70",
+    (1, 1): "8d77902bef0e820906826f7850ad0c1bf5d9344d371b2121f2fc662e745da5f4",
+    (5, 8): "1b9c3d12bda9de015a5933b63b3b2c32cc76037db8bfa6385d5307a0bb3f5b1b",
+    (1, 6): "1effa5367d42dc594fe943f8f0247b48164b69328f9953655416a19b745e0f78",
+}
+
+
+@pytest.mark.parametrize("aspect", sorted(FLOWER_SVG_PINS))
+def test_flower_svg_bytes_are_pinned(aspect):
+    svg = render_flower_svg(Fraction(*aspect))
+    assert hashlib.sha256(svg.encode()).hexdigest() == FLOWER_SVG_PINS[aspect]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import time
@@ -156,11 +158,17 @@ def test_exact_search_tree_is_pinned(beta):
 
 
 @pytest.mark.parametrize("beta", sorted(EXACT_PINS_2W))
-def test_two_worker_search_tree_is_pinned(monkeypatch, beta):
-    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+def test_two_worker_search_tree_is_pinned(beta):
     rep = min_fold_search(build_complex(EisensteinInt(*beta)), mode="exact", threads=2)
     assert rep.status == "ProvedOptimal"
     assert (rep.nodes_explored, rep.best_coloring.bitstring()) == EXACT_PINS_2W[beta]
+
+
+def test_worker_count_has_no_environment_cap(monkeypatch):
+    # no environment variable caps the worker count (1 worker: 239 nodes)
+    monkeypatch.setenv("EISENFOLD_THREADS", "1")
+    rep = min_fold_search(build_complex(EisensteinInt(1, 2)), mode="exact", threads=2)
+    assert (rep.nodes_explored, rep.best_coloring.bitstring()) == EXACT_PINS_2W[(1, 2)]
 
 
 # every canonical beta of norm <= 19 (F <= 38)
@@ -220,11 +228,7 @@ def test_exact_search_deterministic_across_runs_and_threads():
     rep1 = min_fold_search(c, mode="exact")
     rep2 = min_fold_search(c, mode="exact")
     assert rep1.best_coloring.colors == rep2.best_coloring.colors
-    os.environ["EISENFOLD_THREADS"] = "2"
-    try:
-        rep3 = min_fold_search(c, mode="exact", threads=2)
-    finally:
-        del os.environ["EISENFOLD_THREADS"]
+    rep3 = min_fold_search(c, mode="exact", threads=2)
     assert rep3.best_fold == rep1.best_fold
     assert rep3.best_coloring.colors == rep1.best_coloring.colors
     assert rep3.status == "ProvedOptimal"
@@ -324,9 +328,8 @@ def test_enumeration_sequence_is_deterministic():
 @pytest.mark.parametrize("max_nodes", [3000, 28_000])
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("resume_threads", [1, 2])
-def test_resume_reaches_the_uninterrupted_best_coloring(tmp_path, monkeypatch, max_nodes,
-                                                        threads, resume_threads):
-    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+def test_resume_reaches_the_uninterrupted_best_coloring(tmp_path, max_nodes, threads,
+                                                        resume_threads):
     c = build_complex(EisensteinInt(2, 3))
     full = min_fold_search(c, mode="exact")
     ck = str(tmp_path / "ck.json")
@@ -344,8 +347,7 @@ def test_resume_reaches_the_uninterrupted_best_coloring(tmp_path, monkeypatch, m
 # resumed run counts each remaining node once
 @pytest.mark.parametrize("max_nodes", [1, 40, 3000, 28_000])
 @pytest.mark.parametrize("beta", [(1, 2), (2, 3)])
-def test_checkpoint_and_resume_count_each_node_once(tmp_path, monkeypatch, beta, max_nodes):
-    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
+def test_checkpoint_and_resume_count_each_node_once(tmp_path, beta, max_nodes):
     c = build_complex(EisensteinInt(*beta))
     full = min_fold_search(c, mode="exact", threads=1)
     ck = str(tmp_path / "ck.json")
@@ -357,6 +359,27 @@ def test_checkpoint_and_resume_count_each_node_once(tmp_path, monkeypatch, beta,
     assert rep.status == "ProvedOptimal"
     assert rep.nodes_explored == full.nodes_explored
     assert rep.best_coloring.colors == full.best_coloring.colors
+
+
+# sha256 of the checkpoint a 1-worker node budget writes, with its frontier
+# size and proven lower bound, recorded while a budget stop still unwound
+# the stack one choice at a time
+CHECKPOINT_PINS = {
+    ((2, 3), 40): ("313544d3b29f5b18f694e4a1321789c2c388c9446a21d1ec830a91905b834180", 12, 11),
+    ((2, 3), 3000): ("be14a888e1d8072267a96656c21aae86cc0ccaf1e304877434e623599f65fb72", 14, 11),
+    ((3, 4), 100_000): ("8c8a663b664579fa2c72ba4a952891cffa11ec49cf1a3f27de52a644f03a6db2",
+                        19, 15),
+}
+
+
+@pytest.mark.parametrize("beta, max_nodes", sorted(CHECKPOINT_PINS))
+def test_budget_stop_checkpoint_is_pinned(tmp_path, beta, max_nodes):
+    ck = tmp_path / "ck.json"
+    rep = min_fold_search(build_complex(EisensteinInt(*beta)), mode="exact",
+                          budget=SearchBudget(max_nodes=max_nodes), checkpoint_out=str(ck))
+    raw = ck.read_bytes()
+    assert (hashlib.sha256(raw).hexdigest(), len(json.loads(raw)["frontier"]),
+            rep.proven_lower_bound) == CHECKPOINT_PINS[(beta, max_nodes)]
 
 
 # small betas whose good colorings are all enumerated in about a second
@@ -394,10 +417,9 @@ def test_an_incumbent_at_the_floor_is_proved_optimal():
         "ProvedOptimal", 3, 3, 1)
 
 
-def test_two_workers_share_one_deadline(monkeypatch):
+def test_two_workers_share_one_deadline():
     # each prefix task used to get the whole --max-seconds to itself: 4.1 s
     # of wall time here for a 1 s deadline
-    monkeypatch.delenv("EISENFOLD_THREADS", raising=False)
     c = build_complex(EisensteinInt(3, 4))
     t0 = time.monotonic()
     rep = min_fold_search(c, mode="exact", threads=2, budget=SearchBudget(max_seconds=1))
