@@ -197,11 +197,17 @@ def _cmd_sweep_ie(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.flower:
+        ignored = [flag for flag, on in (
+            ("--beta", args.beta is not None), ("--domains", args.domains is not None),
+            ("--bare", args.bare), ("--no-rhombus", args.no_rhombus), ("--no-folds", args.no_folds),
+        ) if on]
+        if ignored:
+            raise DomainError(f"--flower draws no coloring; drop {', '.join(ignored)}")
         svg = render_flower_svg(_parse_aspect(args.flower), scale=args.scale)
     else:
         spec = RenderSpec(
             beta=_parse_beta(args.beta),
-            domains=args.domains,
+            domains=1 if args.domains is None else args.domains,
             show_rhombus=not args.no_rhombus,
             show_folds=not args.no_folds,
             scale=args.scale,
@@ -232,6 +238,11 @@ def _cmd_selftest(args) -> int:
         res = eta_limit_numeric(parse_zeta("golden"), ((40, 60),))
         assert (res.surd.r, res.surd.s, res.surd.d) == (9, 4, 5)
 
+    def render_2_3():
+        svg = render_svg(RenderSpec(beta=EisensteinInt(2, 3)))
+        assert svg.count('class="fold"') == 3 * 23
+        assert svg.count("<polygon points") == 114
+
     def tiny_search():
         rep = min_fold_search(build_complex(EisensteinInt(1, 2)), mode="exact")
         assert rep.best_fold == 13 and rep.status == "ProvedOptimal"
@@ -239,6 +250,7 @@ def _cmd_selftest(args) -> int:
     check("fibonacci-table", fib_rows)
     check("golden-eta-limit", golden_limit)
     check("exact-search-1-2", tiny_search)
+    check("render-2-3", render_2_3)
     for name, failure in checks:
         print(f"PASS {name}" if failure is None else f"FAIL {name}: {failure}")
     return 0 if all(failure is None for _, failure in checks) else 1
@@ -304,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="deterministic SVG of a coloring or flower")
     p.add_argument("--beta")
     p.add_argument("--flower", help="aspect 'p/q' for an empty-flower diagram")
-    p.add_argument("--domains", type=int, default=1)
+    p.add_argument("--domains", type=int, help="fundamental domains per side (default 1)")
     p.add_argument("--no-rhombus", action="store_true")
     p.add_argument("--no-folds", action="store_true")
     p.add_argument("--bare", action="store_true", help="triangulation only, no coloring")

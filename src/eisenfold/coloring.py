@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
-from .surface import CORNERS, DOWN, NEIGHBOR, UP, QuotientComplex
+from .surface import CORNERS, DOWN, NEIGHBOR, UP, QuotientComplex, columns
 
 
 class GoodnessError(ValueError):
@@ -74,12 +74,9 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
     three rotation copies) with a consistent color, which simultaneously
     audits the tile partition and the rotation invariance.
 
-    A convex quad is painted column by column: the tripled centroid
-    (3a + off, 3b + off) of triangle (a, b, o), off = 1 + o, lies on the
-    left of a ccw edge (ax, ay) -> (ax + ex, ay + ey) exactly when
-    3 ex b >= r with r = ey (3a + off - ax) - ex (off - ay), so each edge
-    bounds b from one side and the members of a column form one interval,
-    found by integer floor division.
+    A convex quad's triangles (a, b, o) are those whose tripled centroids
+    (3a + 1 + o, 3b + 1 + o) it contains, listed by `columns`; no centroid
+    lies on a region's boundary, so every side is closed.
     """
     F = c.face_count
     colors = [-1] * F
@@ -98,28 +95,8 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
             o = UP if x % 3 == 1 else DOWN  # tripled centroid 3z + (1 + o)(1 + alpha)
             assign(face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o), color)
             continue
-        quad = data
-        edges = [
-            (ax, ay, bx - ax, by - ay)
-            for (ax, ay), (bx, by) in zip(quad, quad[1:] + quad[:1])
-            if (ax, ay) != (bx, by)
-        ]
-        xs = [p[0] for p in quad]
-        ys = [p[1] for p in quad]
-        b_min, b_max = min(ys) // 3 - 1, max(ys) // 3 + 1
-        for a in range(min(xs) // 3 - 1, max(xs) // 3 + 2):
-            for o, off in ((UP, 1), (DOWN, 2)):
-                px = 3 * a + off
-                lo, hi = b_min, b_max
-                for ax, ay, ex, ey in edges:
-                    r = ey * (px - ax) - ex * (off - ay)
-                    if ex > 0:
-                        lo = max(lo, -(-r // (3 * ex)))
-                    elif ex < 0:
-                        hi = min(hi, r // (3 * ex))
-                    elif r > 0:
-                        hi = lo - 1
-                        break
+        for o in (UP, DOWN):
+            for a, lo, hi in columns(data, 3, 1 + o):
                 for b in range(lo, hi + 1):
                     assign(face_at(a, b, o), color)
     if any(n != 3 for n in counts):

@@ -62,18 +62,7 @@ class EisensteinInt:
         return f"{self.a}{self.b:+}α"
 
 
-ONE = EisensteinInt(1, 0)
 ALPHA = EisensteinInt(0, 1)
-OMEGA = EisensteinInt(-1, 1)  # alpha^2, the order-3 rotation
-
-UNITS = (
-    EisensteinInt(1, 0),
-    EisensteinInt(0, 1),
-    EisensteinInt(-1, 1),
-    EisensteinInt(-1, 0),
-    EisensteinInt(0, -1),
-    EisensteinInt(1, -1),
-)
 
 
 def mul(z: EisensteinInt, w: EisensteinInt) -> EisensteinInt:

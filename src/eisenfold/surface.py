@@ -47,6 +47,55 @@ NEIGHBOR = (
     ((1, 0, UP, 2), (0, 1, UP, 0), (0, 0, UP, 1)),
 )
 
+# The fundamental cell {m/n delta + k/n delta*alpha : 0 <= m, k < n} keeps
+# its two sides through 0 and opens its two far sides.
+CELL_OPEN_SIDES = (1, 2)
+
+
+def cell(delta: EisensteinInt, k: int) -> tuple[tuple[int, int], ...]:
+    """Ccw corners 0, k delta, k (delta + delta*alpha), k delta*alpha."""
+    d1, d2 = k * delta.a, k * delta.b
+    return ((0, 0), (d1, d2), (d1 - d2, d1 + 2 * d2), (-d2, d1 + d2))
+
+
+def columns(corners, s: int, t: int, open_sides=()):
+    """Column intervals of the points (s*a + t, s*b + t) in a convex polygon.
+
+    corners are the (x, y) corners of a convex polygon of positive area in
+    ccw order, side i running from corner i to corner i + 1; consecutive
+    corners may coincide, and a side of length zero bounds nothing.  Points
+    on a side listed in open_sides lie outside.  Yields (a, lo, hi) in
+    increasing a for every nonempty column: its points in the polygon are
+    exactly those with lo <= b <= hi.
+
+    The point (x, y) is inside the side (ax, ay) -> (ax + ex, ay + ey) when
+    ex (y - ay) - ey (x - ax) >= 0, or > 0 if the side is open.  At
+    (s*a + t, s*b + t) this reads s ex b >= s ey a + r, with the integer
+    r = ey (t - ax) - ex (t - ay), plus 1 if the side is open.  So a side
+    with ex > 0 bounds b from below, one with ex < 0 from above, and one
+    with ex = 0 bounds a, each by floor division.
+    """
+    xs = [x for x, _ in corners]
+    a0, a1 = -((t - min(xs)) // s), (max(xs) - t) // s
+    lower, upper = [], []
+    for i, (ax, ay) in enumerate(corners):
+        bx, by = corners[(i + 1) % len(corners)]
+        ex, ey = bx - ax, by - ay
+        r = ey * (t - ax) - ex * (t - ay) + (i in open_sides)
+        if ex > 0:
+            lower.append((s * ey, r, s * ex))
+        elif ex < 0:
+            upper.append((s * ey, r, s * ex))
+        elif ey > 0:
+            a1 = min(a1, -r // (s * ey))
+        elif ey < 0:
+            a0 = max(a0, -(r // (s * ey)))
+    for a in range(a0, a1 + 1):
+        lo = max([-((-u * a - r) // d) for u, r, d in lower])
+        hi = min([(u * a + r) // d for u, r, d in upper])
+        if lo <= hi:
+            yield a, lo, hi
+
 
 @dataclass(frozen=True, slots=True)
 class PlaneTriangleId:
@@ -109,7 +158,6 @@ class QuotientComplex:
 
     def _build(self) -> None:
         delta = self.delta
-        # canonical beta gives d1 = 2a + b > 0 and d2 = b - a >= 0
         d1, d2 = delta.a, delta.b
         n = delta.norm()
 
@@ -124,22 +172,15 @@ class QuotientComplex:
         self._h1, self._h2, self._va = h1, h2, va
 
         # anchors a + b*alpha of the fundamental cell, in lexicographic order:
-        # m = a(d1 + d2) + b*d2 and k = b*d1 - a*d2 must lie in [0, n), which
-        # bounds b in each column by floor division (for d2 = 0, m bounds a).
-        # The torus faces 2i + o of each anchor join rotation orbits of
-        # exactly 3 members, and the first member met is the least.
+        # the cell 0, delta, delta + delta*alpha, delta*alpha with its two far
+        # sides open.  The torus faces 2i + o of each anchor join rotation
+        # orbits of exactly 3 members, and the first member met is the least.
         red: list[tuple[int, int] | None] = [None] * n
         face_of = [-1] * (2 * n)
         shift_of = [0] * (2 * n)
         tris: list[tuple[int, int, int]] = []
         anchors = 0
-        for a in range(-d2, d1 + 1):
-            m0, k0 = a * (d1 + d2), a * d2
-            lo, hi = -(-k0 // d1), (n - 1 + k0) // d1
-            if d2:
-                lo, hi = max(lo, -(m0 // d2)), min(hi, (n - 1 - m0) // d2)
-            elif not 0 <= m0 < n:
-                continue
+        for a, lo, hi in columns(cell(delta, 1), 1, 0, CELL_OPEN_SIDES):
             for b in range(lo, hi + 1):
                 q, j = divmod(b, h2)
                 i = j * h1 + (a - q * va) % h1

@@ -10,10 +10,19 @@ from eisenfold.coloring import (
     GoodnessError,
     GoodnessReport,
     MonochromeRegion,
+    continued_fraction_coloring,
     is_good,
 )
-from eisenfold.eisenstein import DomainError, EisensteinInt, _check_unit_interval, slow_gauss
+from eisenfold.eisenstein import (
+    DomainError,
+    EisensteinInt,
+    _check_unit_interval,
+    canonical,
+    is_primitive,
+    slow_gauss,
+)
 from eisenfold.flower import BLACK, WHITE, CappedFlower
+from eisenfold.render import _FILL, _xy
 from eisenfold.surface import CORNERS, NEIGHBOR, PlaneTriangleId, QuotientComplex
 
 
@@ -559,3 +568,124 @@ def _reference_develop(c: QuotientComplex, colors, region: frozenset[int]):
     if area2 != len(region):
         raise DevelopmentError("polygon area disagrees with face count")
     return tuple(corners)
+
+
+# ---------------------------------------------------------------------------
+# The plane picture from a bounding-box scan of the window, a filter on
+# tripled centroids, and a set of sides that draws each fold once.
+
+
+def box_scan_render_svg(spec) -> str:
+    """Oracle: `render_svg` with a bounding-box window and a set of seen sides."""
+    beta = canonical(spec.beta)
+    if spec.colored:
+        if not is_primitive(beta) or beta.a < 1:
+            raise DomainError("colored renders need primitive beta with 1 <= a <= b")
+        col = continued_fraction_coloring(beta)
+        colors, face_at = col.colors, col.complex.face_at
+
+        def color_of(a: int, b: int, o: int) -> int:
+            return colors[face_at(a, b, o)]
+    else:
+        color_of = None
+    delta = EisensteinInt(2, -1) * beta
+    dom = spec.domains
+    n = delta.norm()
+
+    def basis_coords(x: int, y: int) -> tuple[int, int]:
+        d1, d2 = delta.a, delta.b
+        return x * (d1 + d2) + y * d2, y * d1 - x * d2
+
+    def fmt(x: float) -> str:
+        return f"{x:.3f}"
+
+    # triangles whose tripled centroid sits in the half-open window
+    tris = []
+    al_delta = EisensteinInt(0, 1) * delta
+    corners = [(0, 0), (delta.a, delta.b), (al_delta.a, al_delta.b),
+               (delta.a + al_delta.a, delta.b + al_delta.b)]
+    amin = dom * min(c[0] for c in corners) - 2
+    amax = dom * max(c[0] for c in corners) + 2
+    bmin = dom * min(c[1] for c in corners) - 2
+    bmax = dom * max(c[1] for c in corners) + 2
+    for a in range(amin, amax + 1):
+        for b in range(bmin, bmax + 1):
+            for o in (0, 1):
+                m, k = basis_coords(3 * a + 1 + o, 3 * b + 1 + o)
+                if 0 <= m < 3 * n * dom and 0 <= k < 3 * n * dom:
+                    tris.append((a, b, o))
+
+    scale = spec.scale
+    xs, ys = [], []
+    polys = []
+    for a, b, o in tris:
+        pts = [_xy(a + da, b + db, scale) for da, db in CORNERS[o]]
+        xs.extend(p[0] for p in pts)
+        ys.extend(p[1] for p in pts)
+        fill = _FILL[color_of(a, b, o)] if color_of else "#FFFFFF"
+        polys.append((pts, fill))
+
+    folds = []
+    if spec.show_folds and color_of:
+        seen = set()
+        for a, b, o in tris:
+            verts = [(a + da, b + db) for da, db in CORNERS[o]]
+            here = color_of(a, b, o)
+            for s, (da, db, no, _) in enumerate(NEIGHBOR[o]):
+                p, q = verts[s], verts[(s + 1) % 3]
+                key = frozenset((p, q))
+                if key in seen:
+                    continue
+                seen.add(key)
+                m, k = basis_coords(p[0] + q[0], p[1] + q[1])
+                if not (0 <= m < 2 * n * dom and 0 <= k < 2 * n * dom):
+                    continue
+                if here != color_of(a + da, b + db, no):
+                    folds.append((p, q))
+        folds.sort()
+        for p, q in folds:
+            x1, y1 = _xy(*p, scale)
+            x2, y2 = _xy(*q, scale)
+            xs.extend((x1, x2))
+            ys.extend((y1, y2))
+
+    rhombus = None
+    if spec.show_rhombus:
+        ab = EisensteinInt(0, 1) * beta
+        pts = [(0, 0), (beta.a, beta.b), (beta.a + ab.a, beta.b + ab.b), (ab.a, ab.b)]
+        rhombus = [_xy(x, y, scale) for x, y in pts]
+        xs.extend(p[0] for p in rhombus)
+        ys.extend(p[1] for p in rhombus)
+
+    pad = scale * 0.25
+    x0, y0 = min(xs) - pad, min(ys) - pad
+    w, h = max(xs) - x0 + pad, max(ys) - y0 + pad
+
+    def shift(p):
+        return fmt(p[0] - x0) + "," + fmt(p[1] - y0)
+
+    out = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{fmt(w)}" height="{fmt(h)}" viewBox="0 0 {fmt(w)} {fmt(h)}">'
+    ]
+    out.append('<g stroke="#888888" stroke-width="0.5">')
+    for pts, fill in polys:
+        out.append(f'<polygon points="{" ".join(shift(p) for p in pts)}" fill="{fill}"/>')
+    out.append("</g>")
+    if folds:
+        out.append('<g class="folds" stroke="#FF0000" stroke-width="2.0">')
+        for p, q in folds:
+            x1, y1 = _xy(*p, scale)
+            x2, y2 = _xy(*q, scale)
+            out.append(
+                f'<line class="fold" x1="{fmt(x1 - x0)}" y1="{fmt(y1 - y0)}" '
+                f'x2="{fmt(x2 - x0)}" y2="{fmt(y2 - y0)}"/>'
+            )
+        out.append("</g>")
+    if rhombus:
+        out.append(
+            f'<polygon class="rhombus" points="{" ".join(shift(p) for p in rhombus)}" '
+            'fill="none" stroke="#0000FF" stroke-width="3.0"/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -199,6 +199,28 @@ def test_render_malformed_flower_is_one_error_line(capsys, aspect):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["--beta", "2,3", "--scale", "nan"],
+        ["--beta", "2,3", "--scale", "inf"],
+        ["--flower", "3/7", "--scale", "-5"],
+        ["--flower", "3/7", "--scale", "inf"],
+    ],
+)
+def test_render_bad_scale_is_one_error_line(capsys, argv):
+    _assert_one_error_line(capsys, cli_main(["render"] + argv))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--beta", "2,3", "--domains", "4"], ["--domains", "1"], ["--bare"],
+     ["--no-rhombus"], ["--no-folds"]],
+)
+def test_render_flower_rejects_coloring_flags(capsys, flags):
+    _assert_one_error_line(capsys, cli_main(["render", "--flower", "3/7"] + flags))
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["search", "--beta", "1,2", "--resume"], ["validate", "--in"], ["eta", "--in"]],
 )
 def test_directory_as_input_is_one_error_line(tmp_path, capsys, argv):
@@ -208,7 +230,7 @@ def test_directory_as_input_is_one_error_line(tmp_path, capsys, argv):
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 4
 
 
 def test_selftest_names_the_failure(monkeypatch, capsys):
@@ -219,7 +241,7 @@ def test_selftest_names_the_failure(monkeypatch, capsys):
     code, out = run(capsys, "selftest")
     assert code == 1
     assert "FAIL golden-eta-limit: RuntimeError: no limit today" in out.splitlines()
-    assert out.count("PASS") == 2
+    assert out.count("PASS") == 3
 
 
 def test_sweep_ie_malformed_betas(capsys):
@@ -261,7 +283,7 @@ def test_module_entry_point_without_runtime_warning():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("PASS") == 3
+    assert proc.stdout.count("PASS") == 4
 
 
 def _checkpoint_1_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import random
 from math import gcd
 
@@ -15,6 +16,7 @@ from eisenfold.surface import (
     PlaneTriangleId,
     VertexOrbit,
     build_complex,
+    columns,
     degree_sequence,
 )
 
@@ -25,6 +27,49 @@ def plane_neighbor(anchor: tuple[int, int], orientation: int, side: int):
     if orientation == UP:
         return (((a, b - 1), DOWN, 1), ((a, b), DOWN, 2), ((a - 1, b), DOWN, 0))[side]
     return (((a + 1, b), UP, 2), ((a, b + 1), UP, 0), ((a, b), UP, 1))[side]
+
+
+def _random_convex(rng: random.Random, k: int) -> list[tuple[int, int]]:
+    """Ccw corners of a random strictly convex k-gon, k = 3 or 4, in [-12, 12]^2."""
+    while True:
+        pts = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(k)]
+        c = (sum(x for x, _ in pts) / k, sum(y for _, y in pts) / k)
+        pts.sort(key=lambda p: math.atan2(p[1] - c[1], p[0] - c[0]))
+        turns = [
+            (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
+            for p, q, r in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2])
+        ]
+        if all(t > 0 for t in turns):
+            return pts
+
+
+def test_columns_match_brute_force_membership():
+    rng = random.Random(12)
+    for trial in range(600):
+        corners = _random_convex(rng, 3 + trial % 2)
+        if trial % 3 == 0:  # a repeated corner makes a side of length zero
+            i = rng.randrange(len(corners))
+            corners.insert(i, corners[i])
+        open_sides = tuple(i for i in range(len(corners)) if rng.random() < 0.5)
+        for s in (1, 2, 3):
+            for t in range(s):
+                want = set()
+                span = range(-13 // s - 1, 13 // s + 1)  # s*a + t covers [-12, 12]
+                for a in span:
+                    for b in span:
+                        x, y = s * a + t, s * b + t
+                        sides = zip(corners, corners[1:] + corners[:1])
+                        if all(
+                            (bx - ax) * (y - ay) - (by - ay) * (x - ax) > (i in open_sides) - 1
+                            for i, ((ax, ay), (bx, by)) in enumerate(sides)
+                            if (ax, ay) != (bx, by)
+                        ):
+                            want.add((a, b))
+                cols = list(columns(corners, s, t, open_sides))
+                assert [a for a, _, _ in cols] == sorted({a for a, _, _ in cols})
+                assert all(lo <= hi for _, lo, hi in cols)
+                got = {(a, b) for a, lo, hi in cols for b in range(lo, hi + 1)}
+                assert got == want, (corners, s, t, open_sides)
 
 
 def test_taco():
