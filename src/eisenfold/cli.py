@@ -1,8 +1,8 @@
 """Command-line workbench over the library.
 
 Subcommands write JSON (or SVG) to stdout or --out.  Exit codes: 0 on
-success, 1 on a domain error, 2 when a budget ran out or a limit came back
-undetermined.
+success, 1 on a domain error or a usage error, 2 when a budget ran out or a
+limit came back undetermined.
 """
 
 from __future__ import annotations
@@ -256,8 +256,16 @@ def _cmd_selftest(args) -> int:
     return 0 if all(failure is None for _, failure in checks) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are domain errors (exit 1, one
+    line), not argparse's usage block and exit 2."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eisenfold",
         description="continued-fraction colorings of Eisenstein sphere triangulations",
     )
@@ -330,11 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "render" and not args.flower and not args.beta:
-        parser.error("render needs --beta or --flower")
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "render" and not args.flower and not args.beta:
+            raise DomainError("render needs --beta or --flower")
         return args.fn(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,12 @@ face coloring of the sphere triangulation.
 Two exactness rules hold everywhere: all region tests use integer
 half-plane arithmetic in the (1, alpha) basis, and triangles are classified
 by their tripled centroids, which never land on region boundaries.
+
+A flower holds each necklace level once and checks none of its geometry
+when built: the necklace and nesting incidences are test oracles, and
+every coloring made from a flower passes the exact-cover audit of
+coloring.paint_from_flower, which rejects a tile that misses or repeats a
+triangle.
 """
 
 from __future__ import annotations
@@ -73,23 +79,8 @@ class Trapezoid:
         p3, p4, p1, p2 = self.corners()
         return (p3, p4, p1, p2) if not self.mirrored else (p2, p1, p4, p3)
 
-    def sides(self) -> list[tuple[str, frozenset[EisensteinInt]]]:
-        """Nondegenerate sides as (kind, endpoint set) with kinds bottom/leg/top."""
-        p3, p4, p1, p2 = self.corners()
-        out = []
-        if p3 != p4:
-            out.append(("bottom", frozenset((p3, p4))))
-        out.append(("leg", frozenset((p4, p1))))
-        out.append(("top", frozenset((p1, p2))))
-        out.append(("leg", frozenset((p2, p3))))
-        return out
-
     def quad_tripled(self) -> list[tuple[int, int]]:
         return [(3 * v.a, 3 * v.b) for v in self.vertices()]
-
-    def triangle_capacity(self) -> int:
-        """Unit triangles covered: b^2 - (b - a)^2."""
-        return self.b * self.b - (self.b - self.a) ** 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,14 +92,6 @@ class Necklace:
     mirrored: bool
     trapezoids: tuple[Trapezoid, ...]
 
-    def triangle_capacity(self) -> int:
-        return 6 * self.trapezoids[0].triangle_capacity()
-
-    def all_sides(self):
-        for slot, t in enumerate(self.trapezoids):
-            for kind, seg in t.sides():
-                yield slot, kind, seg
-
 
 def necklace(aspect: Fraction, center: EisensteinInt, mirrored: bool = False) -> Necklace:
     """The unique necklace of the given aspect about center (per chirality)."""
@@ -118,51 +101,22 @@ def necklace(aspect: Fraction, center: EisensteinInt, mirrored: bool = False) ->
     traps = tuple(
         Trapezoid(a, b, center, slot, mirrored) for slot in range(6)
     )
-    n = Necklace(center, aspect, mirrored, traps)
-    _check_necklace(n)
-    return n
-
-
-def _check_necklace(n: Necklace) -> None:
-    # consecutive trapezoids share exactly one vertex
-    for i in range(6):
-        vi = set(n.trapezoids[i].vertices())
-        vj = set(n.trapezoids[(i + 1) % 6].vertices())
-        common = vi & vj
-        if len(common) != 1:
-            raise AssertionError(f"X{i} and X{i+1} share {len(common)} vertices")
+    return Necklace(center, aspect, mirrored, traps)
 
 
 def necklace_gamma(x: Necklace) -> Necklace:
     """The nested child necklace; aspect advances by the slow Gauss map.
 
     The child keeps the center; its chirality flips exactly when the parent
-    aspect exceeds 1/2.  The defining incidences are verified explicitly:
-    each child trapezoid's top is a side of a parent trapezoid, and one of
-    its diagonal sides is a side of an adjacent parent trapezoid.
+    aspect exceeds 1/2.  Then each child trapezoid's top is a side of a
+    parent trapezoid, and one of its diagonal sides is a side of an adjacent
+    parent trapezoid; the tests check these incidences, this function does
+    not.
     """
     if x.aspect == 1:
         raise DomainError("aspect 1/1 is the orbit floor")
-    child_aspect = slow_gauss(x.aspect)
     child_mirrored = (not x.mirrored) if x.aspect > Fraction(1, 2) else x.mirrored
-    y = necklace(child_aspect, x.center, child_mirrored)
-
-    parent_sides = list(x.all_sides())
-    for t in y.trapezoids:
-        sides = t.sides()
-        top = next(seg for kind, seg in sides if kind == "top")
-        legs = [seg for kind, seg in sides if kind == "leg"]
-        host = [slot for slot, _, seg in parent_sides if seg == top]
-        if not host:
-            raise AssertionError(f"child top {sorted(map(str, top))} lies on no parent side")
-        ok = any(
-            seg in legs
-            for slot, _, seg in parent_sides
-            if any((slot - h) % 6 in (1, 5) for h in host)
-        )
-        if not ok:
-            raise AssertionError("child diagonal side misses the adjacent parent trapezoid")
-    return y
+    return necklace(slow_gauss(x.aspect), x.center, child_mirrored)
 
 
 def empty_flower(aspect: Fraction) -> list[tuple[Necklace, int]]:
@@ -200,20 +154,19 @@ class CappedFlower:
     cap_color: int
     swap: bool
     fill_phase: int
-    _levels: tuple        # (quads_tripled per slot, color, out_norm_tripled)
     _caps: tuple          # six cap quads, tripled
 
     def regions(self):
         """All paint regions of one fundamental cell.
 
-        Yields ("quad", quad_tripled, color) for necklace trapezoids and the
-        three cap parallelogram classes, plus ("fill", centroid, color) for
-        the six central triangles.  Painting these covers every translation
-        class of the plane exactly once.
+        Yields ("quad", quad_tripled, color) for necklace trapezoids,
+        outermost level first, and the three cap parallelogram classes, plus
+        ("fill", centroid, color) for the six central triangles.  Painting
+        these covers every translation class of the plane exactly once.
         """
-        for quads, color, _ in self._levels:
-            for q in quads:
-                yield ("quad", q, color)
+        for n, color in zip(self.necklaces, self.necklace_colors):
+            for t in n.trapezoids:
+                yield ("quad", t.quad_tripled(), color)
         for k in range(3):
             yield ("quad", self._caps[k], self.cap_color)
         for c3, color in sorted(self.fill_colors.items()):
@@ -251,13 +204,6 @@ def fill_and_cap(
     fill_colors.update({p: 1 - up_color for p in _FILL_DOWN})
     cap_color = 1 - necklace_colors[0]
 
-    levels = []
-    for n, c in zip(necklaces, necklace_colors):
-        quads = [t.quad_tripled() for t in n.trapezoids]
-        aa, bb = n.aspect.numerator, n.aspect.denominator
-        out_norm = 9 * (aa * aa + aa * bb + bb * bb)
-        levels.append((quads, c, out_norm))
-
     # cap parallelogram at hull edge [beta, alpha*beta], then its rotates
     p2 = (a - b, b)
     albeta = _rot_pair((a, b))
@@ -267,7 +213,7 @@ def fill_and_cap(
         [(3 * x, 3 * y) for (x, y) in _rot_poly(par, k)] for k in range(6)
     )
 
-    cf = CappedFlower(
+    return CappedFlower(
         beta=EisensteinInt(a, b),
         necklaces=necklaces,
         necklace_colors=necklace_colors,
@@ -275,22 +221,19 @@ def fill_and_cap(
         cap_color=cap_color,
         swap=swap,
         fill_phase=fill_phase,
-        _levels=tuple(levels),
         _caps=caps,
     )
-    # area audit: necklaces + fill + caps account for the whole tile
-    total = sum(n.triangle_capacity() for n in necklaces) + 6 + 6 * a * b
-    if total != cf.triangle_count():
-        raise AssertionError(f"area audit failed: {total} != {cf.triangle_count()}")
-    return cf
 
 
 def capped_flower(beta: EisensteinInt, swap: bool = False, fill_phase: int = 0) -> CappedFlower:
-    """Build the full template for a canonical primitive beta with 1 <= a <= b."""
-    a, b = beta.a, beta.b
-    if gcd(a, b) != 1 or not (1 <= a <= b):
-        raise DomainError(f"need canonical primitive beta with 1 <= a <= b, got ({a}, {b})")
-    return fill_and_cap(empty_flower(Fraction(a, b)), beta, swap, fill_phase)
+    """Build the full template for a canonical primitive beta with 1 <= a <= b.
+
+    Any other beta raises DomainError: empty_flower rejects an aspect a/b
+    outside (0, 1], and fill_and_cap the rest.  With b = 0 there is no
+    aspect, so no flower is built and fill_and_cap rejects beta.
+    """
+    flower = empty_flower(Fraction(beta.a, beta.b)) if beta.b else []
+    return fill_and_cap(flower, beta, swap, fill_phase)
 
 
 def _maximal_runs(necklaces) -> list[tuple[int, int]]:

@@ -88,13 +88,10 @@ def _convergents(e: CFExpansion):
             yield h, k
 
 
-def _first_convergent(e: CFExpansion, min_denominator: int) -> Fraction:
-    return next(Fraction(h, k) for h, k in _convergents(e) if k >= min_denominator)
-
-
 def approximant(zeta: QuadraticSurd, min_denominator: int) -> Fraction:
     """First continued-fraction convergent of zeta with denominator >= bound."""
-    return _first_convergent(periodic_cf_of_surd(zeta), min_denominator)
+    e = periodic_cf_of_surd(zeta)
+    return next(Fraction(h, k) for h, k in _convergents(e) if k >= min_denominator)
 
 
 def convergents(zeta: QuadraticSurd, count: int) -> list[Fraction]:
@@ -134,11 +131,10 @@ def eta_limit_numeric(
     """
     if zeta.is_rational() or not (QuadraticSurd(Fraction(0), Fraction(0), 1) < zeta < 1):
         raise DomainError("zeta must be a quadratic irrational in (0, 1)")
-    zeta_cf = periodic_cf_of_surd(zeta)
     for d1, d2 in depth_schedule:
         expansions = []
         for digits in (d1, d2):
-            r = _first_convergent(zeta_cf, 10 ** digits)
+            r = approximant(zeta, 10 ** digits)
             e = eta_of_approximant(r.numerator, r.denominator)
             expansions.append(continued_fraction_euclid(e.numerator, e.denominator))
         m = 0

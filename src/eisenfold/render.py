@@ -112,16 +112,17 @@ def render_svg(spec: RenderSpec) -> str:
     if len(tris) != 6 * beta.norm() * dom * dom:
         raise AssertionError("window does not hold the expected triangle count")
 
-    polys = []
-    for a, b, o in tris:
-        fill = _FILL[color_of(a, b, o)] if color_of else "#FFFFFF"
-        polys.append(([(a + da, b + db) for da, db in CORNERS[o]], fill))
+    # each window triangle's own color, read once for its fill and its folds
+    tri_colors = [color_of(a, b, o) if color_of else None for a, b, o in tris]
+    polys = [
+        ([(a + da, b + db) for da, db in CORNERS[o]], _FILL.get(c, "#FFFFFF"))
+        for (a, b, o), c in zip(tris, tri_colors)
+    ]
 
     marks = []
     if spec.show_folds and color_of:
         folds = []
-        for a, b, o in tris:
-            here = color_of(a, b, o)
+        for (a, b, o), here in zip(tris, tri_colors):
             corners = CORNERS[o]
             for s, (da, db, no, _) in enumerate(NEIGHBOR[o]):
                 # a side is drawn from the first window triangle that holds it

@@ -21,7 +21,7 @@ from eisenfold.eisenstein import (
     is_primitive,
     slow_gauss,
 )
-from eisenfold.flower import BLACK, WHITE, CappedFlower
+from eisenfold.flower import BLACK, WHITE, CappedFlower, Necklace, Trapezoid
 from eisenfold.render import _FILL, _xy
 from eisenfold.surface import CORNERS, NEIGHBOR, PlaneTriangleId, QuotientComplex
 
@@ -310,11 +310,13 @@ def classify_local(cf: CappedFlower, px: int, py: int):
     if hit is not None:
         return hit
     np_ = px * px + px * py + py * py
-    for quads, color, out_norm in cf._levels:
-        if np_ > out_norm:
+    for n, color in zip(cf.necklaces, cf.necklace_colors):
+        # no point of a level lies past the norm of its outer corners
+        a, b = n.aspect.numerator, n.aspect.denominator
+        if np_ > 9 * (a * a + a * b + b * b):
             break
-        for q in quads:
-            if point_in_convex(q, px, py):
+        for t in n.trapezoids:
+            if point_in_convex(t.quad_tripled(), px, py):
                 return color
     for q in cf._caps:
         if point_in_convex(q, px, py):
@@ -344,6 +346,61 @@ def color_at(cf: CappedFlower, tri: PlaneTriangleId) -> int:
     """Color of any plane triangle under the tiled coloring (total map)."""
     cx, cy = tri.centroid_tripled()
     return classify(cf, cx, cy)
+
+
+# ---------------------------------------------------------------------------
+# The defining incidences of a necklace and of its nested child, checked on
+# endpoint sets of trapezoid sides.  The library builds necklaces from the
+# model trapezoid without checking them; paint_from_flower's exact-cover
+# audit is what guards every coloring it makes.
+
+
+def sides(t: Trapezoid) -> list[tuple[str, frozenset[EisensteinInt]]]:
+    """Nondegenerate sides as (kind, endpoint set) with kinds bottom/leg/top."""
+    p3, p4, p1, p2 = t.corners()
+    out = []
+    if p3 != p4:
+        out.append(("bottom", frozenset((p3, p4))))
+    out.append(("leg", frozenset((p4, p1))))
+    out.append(("top", frozenset((p1, p2))))
+    out.append(("leg", frozenset((p2, p3))))
+    return out
+
+
+def all_sides(n: Necklace):
+    for slot, t in enumerate(n.trapezoids):
+        for kind, seg in sides(t):
+            yield slot, kind, seg
+
+
+def check_necklace(n: Necklace) -> None:
+    """Consecutive trapezoids share exactly one vertex."""
+    for i in range(6):
+        vi = set(n.trapezoids[i].vertices())
+        vj = set(n.trapezoids[(i + 1) % 6].vertices())
+        common = vi & vj
+        if len(common) != 1:
+            raise AssertionError(f"X{i} and X{i+1} share {len(common)} vertices")
+
+
+def check_nesting(parent: Necklace, child: Necklace) -> None:
+    """Each child trapezoid's top is a side of a parent trapezoid, and one of
+    its legs is a side of a parent trapezoid adjacent to that one."""
+    parent_sides = list(all_sides(parent))
+    for t in child.trapezoids:
+        own = sides(t)
+        top = next(seg for kind, seg in own if kind == "top")
+        legs = [seg for kind, seg in own if kind == "leg"]
+        host = [slot for slot, _, seg in parent_sides if seg == top]
+        if not host:
+            raise AssertionError(f"child top {sorted(map(str, top))} lies on no parent side")
+        ok = any(
+            seg in legs
+            for slot, _, seg in parent_sides
+            if any((slot - h) % 6 in (1, 5) for h in host)
+        )
+        if not ok:
+            raise AssertionError("child diagonal side misses the adjacent parent trapezoid")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
@@ -135,6 +137,16 @@ def test_eta_limit_undetermined_exit_2(capsys):
     code, out = run(capsys, "eta-limit", "--zeta", "sqrt:7", "--depths", "40,60")
     assert code == 2
     assert json.loads(out)["status"] == "undetermined"
+
+
+def test_eta_limit_json_is_pinned_for_golden_and_every_non_square_below_100(capsys):
+    # one digest over "<zeta> <exit code>" and the stdout of each run,
+    # recorded before eta_limit_numeric took its approximants from approximant
+    h = hashlib.sha256()
+    for z in ["golden"] + [f"sqrt:{n}" for n in range(2, 100) if isqrt(n) ** 2 != n]:
+        code, out = run(capsys, "eta-limit", "--zeta", z)
+        h.update(f"{z} {code}\n{out}".encode())
+    assert h.hexdigest() == "d8f65ce678cc2a97be5c05bf762426a675e35521edf6a239dcbd58a84f390316"
 
 
 def test_search_cli(capsys):
@@ -359,3 +371,22 @@ def test_search_resume_reads_its_own_checkpoint(tmp_path, capsys):
 ])
 def test_eta_limit_malformed_arguments_are_one_error_line(capsys, argv):
     _assert_one_error_line(capsys, cli_main(["eta-limit"] + argv))
+
+
+# argparse's own usage errors exit 2 by default, the code of an exhausted
+# budget or an undetermined limit; the CLI reports them as one error line
+@pytest.mark.parametrize("argv", [
+    ["search", "--beta", "2,3", "--max-nodes", "abc"],
+    ["render"],
+    ["build"],
+])
+def test_usage_errors_are_one_error_line(capsys, argv):
+    _assert_one_error_line(capsys, cli_main(argv))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from eisenfold.coloring import paint_from_flower
 from eisenfold.eisenstein import EisensteinInt, DomainError
 from eisenfold.flower import (
     BLACK,
@@ -17,8 +19,8 @@ from eisenfold.flower import (
     necklace_gamma,
     stripe_counts,
 )
-from eisenfold.surface import DOWN, UP, PlaneTriangleId
-from oracles import color_at, continued_fraction
+from eisenfold.surface import DOWN, UP, PlaneTriangleId, build_complex
+from oracles import check_necklace, check_nesting, color_at, continued_fraction
 
 O = EisensteinInt(0, 0)
 
@@ -37,12 +39,29 @@ def test_necklace_degenerate_1_1():
     assert _pairs(n.trapezoids[0].corners()) == {(1, 1), (0, 1), (1, 0)}
 
 
+def _rotated(z: EisensteinInt, k: int) -> EisensteinInt:
+    for _ in range(k % 6):
+        z = EisensteinInt(0, 1) * z
+    return z
+
+
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (3, 5), (3, 7), (5, 13)])
 def test_adjacent_trapezoids_meet_at_the_formula_point(a, b):
-    n = necklace(Fraction(a, b), O)
-    v1 = set(n.trapezoids[0].corners())
-    v2 = set(n.trapezoids[1].corners())
-    assert v1 & v2 == {EisensteinInt(a - b, b)}
+    # slots k and k + 1 meet at alpha^k (a - b + b alpha); the mirrored
+    # necklace is the conjugate of the unmirrored one, so its slots k and
+    # k + 1 meet at the conjugate of the point where slots -k - 1 and -k do
+    p = EisensteinInt(a - b, b)
+    for mirrored in (False, True):
+        n = necklace(Fraction(a, b), O, mirrored)
+        for k in range(6):
+            v1 = set(n.trapezoids[k].corners())
+            v2 = set(n.trapezoids[(k + 1) % 6].corners())
+            if mirrored:
+                q = _rotated(p, -k - 1)
+                meet = EisensteinInt(q.a + q.b, -q.b)
+            else:
+                meet = _rotated(p, k)
+            assert v1 & v2 == {meet}, (mirrored, k)
 
 
 def test_necklace_gamma_aspects():
@@ -60,14 +79,44 @@ def test_necklace_gamma_rejects_floor():
 
 
 def test_necklace_gamma_chain_verifies_incidences_broadly():
-    # construction raises if the nesting incidences ever fail
+    # the oracles raise if a necklace's or a nesting's incidences fail
     for b in range(1, 41):
         for a in range(1, b + 1):
             if gcd(a, b) != 1:
                 continue
             chain = necklace(Fraction(a, b), O)
+            check_necklace(chain)
             while chain.aspect != 1:
-                chain = necklace_gamma(chain)
+                child = necklace_gamma(chain)
+                check_necklace(child)
+                check_nesting(chain, child)
+                chain = child
+
+
+# Each (beta, level) flips the chirality of one level below the outermost.
+# Every flip but the innermost breaks the nesting and the tile partition;
+# both chiralities of the 1/1 necklace cover the same six triangles.
+CHIRALITY_FLOWERS = [(1, 2), (1, 4), (2, 3), (3, 5), (3, 7), (4, 9), (5, 13), (8, 13)]
+
+
+@pytest.mark.parametrize("a, b", CHIRALITY_FLOWERS)
+def test_wrong_chirality_child_is_rejected_below_the_innermost_level(a, b):
+    beta = EisensteinInt(a, b)
+    c = build_complex(beta)
+    flower = empty_flower(Fraction(a, b))
+    colors = paint_from_flower(fill_and_cap(flower, beta), c).colors
+    for i in range(1, len(flower)):
+        n, color = flower[i]
+        flipped = necklace(n.aspect, n.center, not n.mirrored)
+        mutant = flower[:i] + [(flipped, color)] + flower[i + 1:]
+        if i < len(flower) - 1:
+            with pytest.raises(AssertionError):
+                check_nesting(flower[i - 1][0], flipped)
+            with pytest.raises(AssertionError):
+                paint_from_flower(fill_and_cap(mutant, beta), c)
+        else:
+            check_nesting(flower[i - 1][0], flipped)
+            assert paint_from_flower(fill_and_cap(mutant, beta), c).colors == colors
 
 
 def test_aspect_functoriality_b_le_100():
@@ -108,6 +157,9 @@ def test_fill_and_cap_rejects_bad_beta():
         capped_flower(EisensteinInt(0, 1))
     with pytest.raises(DomainError):
         fill_and_cap(empty_flower(Fraction(2, 3)), EisensteinInt(3, 5))
+    for beta in [(1, 0), (0, 0), (-2, -3), (3, 2), (2, -3)]:
+        with pytest.raises(DomainError):
+            capped_flower(EisensteinInt(*beta))
 
 
 def test_cap_color_opposite_outer_necklace():
@@ -121,9 +173,13 @@ def test_area_audit_all_primitive_b_le_34():
         for a in range(1, b + 1):
             if gcd(a, b) != 1:
                 continue
-            cf = capped_flower(EisensteinInt(a, b))  # internal audit asserts
-            total = sum(n.triangle_capacity() for n in cf.necklaces)
-            assert total + 6 + 6 * a * b == 6 * cf.beta.norm()
+            # necklaces, the six central triangles and the caps tile the hexagon
+            cf = capped_flower(EisensteinInt(a, b))
+            total = 0
+            for n in cf.necklaces:
+                p, q = n.aspect.numerator, n.aspect.denominator
+                total += 6 * (q * q - (q - p) ** 2)
+            assert total + 6 + 6 * a * b == 6 * cf.beta.norm() == cf.triangle_count()
 
 
 def test_fill_triangles_alternate_around_origin():
@@ -262,6 +318,41 @@ def test_gamma_orbit_pairs_and_formulas():
     assert cf_fold_count(2, 3) == 23
     assert cf_fold_count(8, 13) == 107
     assert cf_face_count(3, 5) == 98
+
+
+# sha256 of repr(list(capped_flower(beta).regions())), recorded while the
+# flower still stored each level's quads a second time
+REGIONS_PINS = {
+    (1, 1): "8058eb54ac55fc2a093801a3650b9ff9bdc4e69d730256ed7add154537a03dae",
+    (1, 2): "a5ae7bf94a53a3663dcd5fb249ec80f837a28a5e411a5217685abf5bbf1cecb5",
+    (2, 3): "bb8a0d1ac13810876f6439158962587643485a9b2798a25a69f87f6f0a4f69cd",
+    (3, 7): "eea26cedbb1c3dd0a6406283a232840de6c6d670fe636a29908b8b0a2b8f247b",
+    (5, 13): "d1c7a27b786f73ab9b23020cfc0480a58bd2202ba89ef43f5c46f8c63619dd19",
+    (8, 13): "e055e03e4b6493628a54f886aded4f46a592960574ea613ce3c05eeb4df85efa",
+    (1, 29): "648f5ee6eb4525e926993faad7a763ec876c5e3a71e6629dd5e678db08667e6c",
+    (21, 34): "fa8732624470f1e14b8228ac1d51893e5b452172183874f576bc7c7435033c01",
+}
+
+
+@pytest.mark.parametrize("beta", sorted(REGIONS_PINS))
+def test_regions_are_pinned(beta):
+    regions = repr(list(capped_flower(EisensteinInt(*beta)).regions()))
+    assert hashlib.sha256(regions.encode()).hexdigest() == REGIONS_PINS[beta]
+
+
+def test_regions_sequence_is_pinned_for_every_primitive_beta_b_le_60():
+    # one digest over the region sequences of every primitive 1 <= a <= b <= 60,
+    # in (b, a) order, each under both swap values and both fill phases
+    h = hashlib.sha256()
+    for b in range(1, 61):
+        for a in range(1, b + 1):
+            if gcd(a, b) != 1:
+                continue
+            for swap in (False, True):
+                for phase in (0, 1):
+                    cf = capped_flower(EisensteinInt(a, b), swap, phase)
+                    h.update(repr(list(cf.regions())).encode())
+    assert h.hexdigest() == "ef3420212e6a16cc3d8b67a867d27ea1c4963b760b608988dee5227c7231f195"
 
 
 def test_cap_parallelograms_merge_across_hull_edges():

@@ -72,6 +72,21 @@ def test_approximant_depth():
     assert 0 < r < 1
 
 
+def test_eta_limit_takes_each_approximant_from_approximant(monkeypatch):
+    # the benchmark's tracer times limits.approximant by rebinding the name
+    import eisenfold.limits as limits
+
+    calls = []
+
+    def counted(zeta, min_denominator):
+        calls.append(min_denominator)
+        return approximant(zeta, min_denominator)
+
+    monkeypatch.setattr(limits, "approximant", counted)
+    eta_limit_numeric(golden_zeta(), ((40, 60),))
+    assert calls == [10 ** 40, 10 ** 60]
+
+
 def test_eta_of_approximant_guards():
     with pytest.raises(DomainError):
         eta_of_approximant(2, 4)
