@@ -346,6 +346,9 @@ def cli_main(argv=None) -> int:
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
@@ -76,32 +77,29 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
 
     A convex quad's triangles (a, b, o) are those whose tripled centroids
     (3a + 1 + o, 3b + 1 + o) it contains, listed by `columns`; no centroid
-    lies on a region's boundary, so every side is closed.
+    lies on a region's boundary, so every side is closed.  Each column's
+    faces come from `QuotientComplex.column_faces`.
     """
     F = c.face_count
-    colors = [-1] * F
-    counts = [0] * F
-    face_at = c.face_at
-
-    def assign(face: int, color: int) -> None:
-        if colors[face] not in (-1, color):
-            raise AssertionError(f"inconsistent paint on face {face}")
-        colors[face] = color
-        counts[face] += 1
-
+    hits = {WHITE: [0] * F, BLACK: [0] * F}  # times each face is painted each color
     for kind, data, color in cf.regions():
+        painted = hits[color]
         if kind == "fill":
             x, y = data
             o = UP if x % 3 == 1 else DOWN  # tripled centroid 3z + (1 + o)(1 + alpha)
-            assign(face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o), color)
+            painted[c.face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o)] += 1
             continue
         for o in (UP, DOWN):
             for a, lo, hi in columns(data, 3, 1 + o):
-                for b in range(lo, hi + 1):
-                    assign(face_at(a, b, o), color)
-    if any(n != 3 for n in counts):
+                for f in c.column_faces(a, lo, hi, o):
+                    painted[f] += 1
+    white, black = hits[WHITE], hits[BLACK]
+    for f, (w, b) in enumerate(zip(white, black)):
+        if w and b:
+            raise AssertionError(f"inconsistent paint on face {f}")
+    if list(map(add, white, black)) != [3] * F:
         raise AssertionError("tile partition did not cover each face exactly 3 times")
-    return FaceColoring(c, tuple(colors))
+    return FaceColoring(c, tuple(BLACK if b else WHITE for b in black))
 
 
 def continued_fraction_coloring(

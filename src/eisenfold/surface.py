@@ -17,6 +17,15 @@ these 2*norm(delta) slots gives each plane triangle's quotient face
 developing its regions and rendering all look faces up there, and cross
 sides and find corners through the constant tables `NEIGHBOR` and `CORNERS`.
 
+The index i = j*h1 + x of the point x + j*alpha (0 <= x < h1, 0 <= j < h2)
+moves by unit steps without a divmod.  A step by +-1 stays in its row and
+wraps at the row end.  A step by +alpha adds h1, and an index i + h1 >=
+n = norm(delta) wraps to (i + h1 - n - va) mod h1 in row 0; -alpha is its
+inverse.  The rotation z -> alpha^2 z takes z + alpha to alpha^2 z - 1,
+so along a column the rotated index steps by -1.  The build walks each
+column of the fundamental cell this way after one divmod at its foot, and
+`QuotientComplex.column_faces` lists the faces of one column for painting.
+
 Faces are named in scan order: the anchors of one fundamental cell are
 visited in lexicographic order, and a face is numbered when the first of
 its three rotation copies is met.  No sort is needed, and serialized
@@ -25,8 +34,11 @@ output is bit-stable.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, product
 
 from .eisenstein import DomainError, EisensteinInt, canonical
 
@@ -152,6 +164,10 @@ class QuotientComplex:
             raise DomainError("beta must be nonzero")
         self.beta = canonical(beta)
         self.delta = EisensteinInt(2, -1) * self.beta
+        if 2 * self.delta.norm() > sys.maxsize:
+            raise DomainError(
+                f"beta {self.beta} is too large: its torus has more than {sys.maxsize} triangles"
+            )
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -160,6 +176,15 @@ class QuotientComplex:
         delta = self.delta
         d1, d2 = delta.a, delta.b
         n = delta.norm()
+        # every n-long table is made by repetition before any loop runs, so
+        # a size that cannot be allocated fails at once.  A vertex orbit is
+        # named by the index of its least point.
+        face_of = [-1] * (2 * n)
+        shift_of = bytearray(2 * n)
+        orbit_of = [-1] * n  # index -> its orbit's name
+        point_at: list[tuple[int, int] | None] = [None] * n  # name -> least point
+        vertex_of = [-1] * n  # name -> vertex
+        seen = bytearray(n)
 
         # Hermite basis (h1, 0), (va, h2) of delta*E from an extended gcd of
         # the second coordinates d2 and d1 + d2 of delta and delta*alpha
@@ -171,35 +196,62 @@ class QuotientComplex:
         h1 = n // h2
         self._h1, self._h2, self._va = h1, h2, va
 
-        # anchors a + b*alpha of the fundamental cell, in lexicographic order:
-        # the cell 0, delta, delta + delta*alpha, delta*alpha with its two far
-        # sides open.  The torus faces 2i + o of each anchor join rotation
-        # orbits of exactly 3 members, and the first member met is the least.
-        red: list[tuple[int, int] | None] = [None] * n
-        face_of = [-1] * (2 * n)
-        shift_of = [0] * (2 * n)
+        def index(x: int, y: int) -> int:
+            q, j = divmod(y, h2)
+            return j * h1 + (x - q * va) % h1
+
+        # unit steps between indices, as spans of one list of the indices:
+        # R = +1 and L = -1 wrap at the row end, U = +alpha and D = -alpha
+        # wrap between the last row and row 0 with a shift by va.  The spans
+        # are joined from iterators and idx lives to the end: freeing a large
+        # temporary list this early makes the C allocator keep the build's
+        # growing lists on its heap, which then holds about 2 MB afterwards.
+        idx = list(range(n))
+
+        def joined(*spans):
+            return list(chain.from_iterable(islice(idx, lo, hi) for lo, hi in spans))
+
+        c, e = -va % h1, va % h1
+        R, L = joined((1, n), (0, 1)), joined((n - 1, n), (0, n - 1))
+        for s in range(0, n, h1):
+            R[s + h1 - 1], L[s] = idx[s], idx[s + h1 - 1]
+        U = joined((h1, n), (c, h1), (0, c))
+        D = joined((n - h1 + e, n), (n - h1, n - h1 + e), (0, n - h1))
+
+        # anchors z = a + b*alpha of the fundamental cell, in lexicographic
+        # order: the cell 0, delta, delta + delta*alpha, delta*alpha with its
+        # two far sides open.  The residual rotation z -> alpha^2 z has order
+        # 3 and takes z + alpha to alpha^2 z - 1 and alpha^4 z to
+        # alpha^4 z + 1 - alpha, so a column climbs by U while the indices r1
+        # of alpha^2 z and r2 of alpha^4 z step by L and by R then D.  The
+        # torus faces 2i + o of each anchor, and its vertex i, join rotation
+        # orbits of exactly 3 members; the first member met is the least.
+        cols = list(columns(cell(delta, 1), 1, 0, CELL_OPEN_SIDES))
         tris: list[tuple[int, int, int]] = []
+        anchor_of: list[int] = []  # index of each face's anchor
         anchors = 0
-        for a, lo, hi in columns(cell(delta, 1), 1, 0, CELL_OPEN_SIDES):
+        for a, lo, hi in cols:
+            i, r1, r2 = index(a, lo), index(-a - lo, a), index(lo, -a - lo)
             for b in range(lo, hi + 1):
-                q, j = divmod(b, h2)
-                i = j * h1 + (a - q * va) % h1
-                if red[i] is not None:
-                    raise AssertionError(f"anchors {red[i]} and {(a, b)} share torus index {i}")
-                red[i] = (a, b)
-                anchors += 1
+                if seen[i]:
+                    first = next(
+                        (x, y) for x, l, h in cols for y in range(l, h + 1) if index(x, y) == i
+                    )
+                    raise AssertionError(f"anchors {first} and {(a, b)} share torus index {i}")
+                seen[i] = 1
+                if orbit_of[i] < 0:
+                    orbit_of[i] = orbit_of[r1] = orbit_of[r2] = i
+                    point_at[i] = (a, b)
                 for o in (UP, DOWN):
                     t0 = 2 * i + o
                     if face_of[t0] >= 0:
                         continue
-                    # z -> alpha^2 z carries the anchor z to alpha^2 z - 1 - o;
-                    # its cube is the identity, so the orbit is t0, t1, t2
-                    x1, y1 = -a - b - 1 - o, a
-                    x2, y2 = -x1 - y1 - 1 - o, x1
-                    q1, j1 = divmod(y1, h2)
-                    q2, j2 = divmod(y2, h2)
-                    t1 = 2 * (j1 * h1 + (x1 - q1 * va) % h1) + o
-                    t2 = 2 * (j2 * h1 + (x2 - q2 * va) % h1) + o
+                    # the copies anchored at alpha^2 z - 1 - o and
+                    # alpha^4 z - (1 + o) alpha
+                    i1, i2 = L[r1], D[r2]
+                    if o:
+                        i1, i2 = L[i1], D[i2]
+                    t1, t2 = 2 * i1 + o, 2 * i2 + o
                     if t0 == t1 or t1 == t2 or t2 == t0:
                         raise AssertionError(f"degenerate rotation orbit at {(a, b, o)}")
                     # k = rotation applications carrying a member onto the
@@ -207,6 +259,9 @@ class QuotientComplex:
                     face_of[t0] = face_of[t1] = face_of[t2] = len(tris)
                     shift_of[t1], shift_of[t2] = 2, 1
                     tris.append((a, b, o))
+                    anchor_of.append(i)
+                i, r1, r2 = U[i], L[r1], D[R[r2]]
+            anchors += hi - lo + 1
         if anchors != n:
             raise AssertionError(f"found {anchors} anchors, expected {n}")
         self._face_of = face_of
@@ -214,45 +269,48 @@ class QuotientComplex:
         if self.face_count != 2 * self.beta.norm():
             raise AssertionError("face count must be 2*norm(beta)")
 
-        # edge pairing: cross each side in the plane, look the neighbour up,
-        # shift its side by k.  Vertex orbits under the residual rotation
-        # z -> alpha^2 z are numbered in order of first corner, and each
-        # orbit is classified once.
+        # edge pairing: step across each side (NEIGHBOR), look the neighbour
+        # up, shift its side by k.  The corners (CORNERS) are steps too, and
+        # vertex orbits are numbered in order of first corner.
         pairing: list[tuple[tuple[int, int], ...]] = []
         face_vertices: list[tuple[int, int, int]] = []
-        vid = [-1] * n
         vpoints: list[tuple[int, int]] = []
         degrees: list[int] = []
-        for a, b, o in tris:
-            row = []
-            for da, db, no, ns in NEIGHBOR[o]:
-                q, j = divmod(b + db, h2)
-                t = 2 * (j * h1 + (a + da - q * va) % h1) + no
-                row.append((face_of[t], (ns + shift_of[t]) % 3))
-            pairing.append(tuple(row))
+        for (_, _, o), i in zip(tris, anchor_of):
+            if o == UP:
+                t0, t1, t2 = 2 * D[i] + 1, 2 * i + 1, 2 * L[i] + 1
+                corners = (i, R[i], U[i])
+            else:
+                r = R[i]
+                t0, t1, t2 = 2 * r, 2 * U[i], 2 * i
+                corners = (r, U[r], U[i])
+            # the neighbour across side s meets it along its side s + 1 + o
+            pairing.append((
+                (face_of[t0], (1 + o + shift_of[t0]) % 3),
+                (face_of[t1], (2 + o + shift_of[t1]) % 3),
+                (face_of[t2], (o + shift_of[t2]) % 3),
+            ))
             ids = []
-            for da, db in CORNERS[o]:
-                x, y = a + da, b + db
-                q, j = divmod(y, h2)
-                i = j * h1 + (x - q * va) % h1
-                v = vid[i]
+            for k in corners:
+                u = orbit_of[k]
+                v = vertex_of[u]
                 if v < 0:
-                    v = len(vpoints)
-                    # the rotated points (-x - y, x) and (y, -x - y)
-                    q1, j1 = divmod(x, h2)
-                    q2, j2 = divmod(-x - y, h2)
-                    i1 = j1 * h1 + (-x - y - q1 * va) % h1
-                    i2 = j2 * h1 + (y - q2 * va) % h1
-                    vid[i] = vid[i1] = vid[i2] = v
-                    vpoints.append(min(red[i], red[i1], red[i2]))
+                    v = vertex_of[u] = len(vpoints)
+                    vpoints.append(point_at[u])
                     degrees.append(0)
                 degrees[v] += 1
                 ids.append(v)
             face_vertices.append(tuple(ids))
-        for i, row in enumerate(pairing):
-            for s, (j, s2) in enumerate(row):
-                if pairing[j][s2] != (i, s) or (j, s2) == (i, s):
-                    raise AssertionError("edge pairing is not a free involution")
+        # the step tables go before the involution check makes its list
+        del idx, R, L, U, D, shift_of, orbit_of, point_at, vertex_of, seen, anchor_of
+        # a free involution: the partner of each side's partner is the side
+        # itself, and no side is its own partner
+        back = [pairing[f][s] for f, s in chain.from_iterable(pairing)]
+        own = range(len(pairing)), range(3)
+        if not all(map(operator.eq, back, product(*own))) or any(
+            map(operator.eq, chain.from_iterable(pairing), product(*own))
+        ):
+            raise AssertionError("edge pairing is not a free involution")
         self.pairing = pairing
         self.face_vertices = face_vertices
         self._tris = tris
@@ -284,6 +342,28 @@ class QuotientComplex:
         """Face index of the plane triangle anchored at a + b*alpha with orientation o."""
         q, j = divmod(b, self._h2)
         return self._face_of[2 * (j * self._h1 + (a - q * self._va) % self._h1) + o]
+
+    def column_faces(self, a: int, lo: int, hi: int, o: int) -> list[int]:
+        """Faces of the plane triangles (a, b, o) for lo <= b <= hi, in order of b.
+
+        The first index takes one divmod; each next triangle is one step by
+        +alpha, 2*h1 torus faces on, and a step past the last row lands in
+        row 0 shifted by -va.
+        """
+        h1, face_of = self._h1, self._face_of
+        q, j = divmod(lo, self._h2)
+        t = 2 * (j * h1 + (a - q * self._va) % h1) + o
+        step, end = 2 * h1, len(face_of)
+        wrap = 2 * (-self._va % h1) - end
+        out = []
+        for _ in range(lo, hi + 1):
+            out.append(face_of[t])
+            t += step
+            if t >= end:
+                t += wrap
+                if t >= step:
+                    t -= step
+        return out
 
     def lift(self, face: int) -> PlaneTriangleId:
         """The canonical planar representative of a face (section of project)."""
@@ -344,22 +424,26 @@ class QuotientComplex:
     def to_json_dict(self) -> dict:
         from .jsonio import jint
 
+        # every anchor and vertex point lies in the fundamental cell, so its
+        # coordinates fit 64 bits when the cell's corners do
+        if any(jint(v) != v for corner in cell(self.delta, 1) for v in corner):
+            raise AssertionError("fundamental cell exceeds 64-bit coordinates")
         return {
             "schema": "complex.v1",
             "beta": [jint(self.beta.a), jint(self.beta.b)],
             "delta": [jint(self.delta.a), jint(self.delta.b)],
             "faces": [
-                {"anchor": [jint(a), jint(b)], "orientation": _ORIENT_NAMES[o]}
+                {"anchor": [a, b], "orientation": _ORIENT_NAMES[o]}
                 for a, b, o in self._tris
             ],
             "pairing": [
                 [f, s, f2, s2]
                 for f, row in enumerate(self.pairing)
                 for s, (f2, s2) in enumerate(row)
-                if (f, s) < (f2, s2)
+                if 3 * f + s < 3 * f2 + s2
             ],
             "vertices": [
-                {"degree": d, "representative_lattice_point": [jint(x), jint(y)]}
+                {"degree": d, "representative_lattice_point": [x, y]}
                 for (x, y), d in zip(self._vpoints, self.degrees)
             ],
         }

@@ -23,7 +23,17 @@ from eisenfold.eisenstein import (
 )
 from eisenfold.flower import BLACK, WHITE, CappedFlower, Necklace, Trapezoid
 from eisenfold.render import _FILL, _xy
-from eisenfold.surface import CORNERS, NEIGHBOR, PlaneTriangleId, QuotientComplex
+from eisenfold.surface import (
+    CELL_OPEN_SIDES,
+    CORNERS,
+    DOWN,
+    NEIGHBOR,
+    UP,
+    PlaneTriangleId,
+    QuotientComplex,
+    cell,
+    columns,
+)
 
 
 def brute_force_good_colorings(c: QuotientComplex) -> list[FaceColoring]:
@@ -746,3 +756,91 @@ def box_scan_render_svg(spec) -> str:
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The quotient complex with every torus index computed from scratch: one
+# divmod per anchor, per rotation copy, per side and per corner.
+
+
+def divmod_build(beta: EisensteinInt) -> dict:
+    """The complex's tables by attribute name: `_tris`, `pairing`,
+    `face_vertices`, `_vpoints`, `degrees` and `_face_of`."""
+    beta = canonical(beta)
+    delta = EisensteinInt(2, -1) * beta
+    d1, d2 = delta.a, delta.b
+    n = delta.norm()
+
+    r0, r1, x0, x1, y0, y1 = d2, d1 + d2, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+    h2, va = r0, x0 * d1 - y0 * d2
+    h1 = n // h2
+
+    red = [None] * n
+    face_of = [-1] * (2 * n)
+    shift_of = [0] * (2 * n)
+    tris = []
+    anchors = 0
+    for a, lo, hi in columns(cell(delta, 1), 1, 0, CELL_OPEN_SIDES):
+        for b in range(lo, hi + 1):
+            q, j = divmod(b, h2)
+            i = j * h1 + (a - q * va) % h1
+            assert red[i] is None, f"anchors {red[i]} and {(a, b)} share torus index {i}"
+            red[i] = (a, b)
+            anchors += 1
+            for o in (UP, DOWN):
+                t0 = 2 * i + o
+                if face_of[t0] >= 0:
+                    continue
+                x1, y1 = -a - b - 1 - o, a
+                x2, y2 = -x1 - y1 - 1 - o, x1
+                q1, j1 = divmod(y1, h2)
+                q2, j2 = divmod(y2, h2)
+                t1 = 2 * (j1 * h1 + (x1 - q1 * va) % h1) + o
+                t2 = 2 * (j2 * h1 + (x2 - q2 * va) % h1) + o
+                assert len({t0, t1, t2}) == 3, f"degenerate rotation orbit at {(a, b, o)}"
+                face_of[t0] = face_of[t1] = face_of[t2] = len(tris)
+                shift_of[t1], shift_of[t2] = 2, 1
+                tris.append((a, b, o))
+    assert anchors == n and len(tris) == 2 * beta.norm()
+
+    pairing = []
+    face_vertices = []
+    vid = [-1] * n
+    vpoints = []
+    degrees = []
+    for a, b, o in tris:
+        row = []
+        for da, db, no, ns in NEIGHBOR[o]:
+            q, j = divmod(b + db, h2)
+            t = 2 * (j * h1 + (a + da - q * va) % h1) + no
+            row.append((face_of[t], (ns + shift_of[t]) % 3))
+        pairing.append(tuple(row))
+        ids = []
+        for da, db in CORNERS[o]:
+            x, y = a + da, b + db
+            q, j = divmod(y, h2)
+            i = j * h1 + (x - q * va) % h1
+            v = vid[i]
+            if v < 0:
+                v = len(vpoints)
+                q1, j1 = divmod(x, h2)
+                q2, j2 = divmod(-x - y, h2)
+                i1 = j1 * h1 + (-x - y - q1 * va) % h1
+                i2 = j2 * h1 + (y - q2 * va) % h1
+                vid[i] = vid[i1] = vid[i2] = v
+                vpoints.append(min(red[i], red[i1], red[i2]))
+                degrees.append(0)
+            degrees[v] += 1
+            ids.append(v)
+        face_vertices.append(tuple(ids))
+    for i, row in enumerate(pairing):
+        for s, (j, s2) in enumerate(row):
+            assert pairing[j][s2] == (i, s) and (j, s2) != (i, s), "pairing is not a free involution"
+    assert len(vpoints) == beta.norm() + 2
+    return {
+        "_tris": tris, "pairing": pairing, "face_vertices": face_vertices,
+        "_vpoints": vpoints, "degrees": degrees, "_face_of": face_of,
+    }

@@ -47,6 +47,19 @@ def test_color_domain_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # 2 norm(delta) exceeds sys.maxsize: rejected before any allocation
+    ("build", "--beta", "99999999999,1"),
+    ("eta", "--beta", "99999999999,1"),
+    ("color", "--beta", "99999999999,1"),
+    # its tables would need about 10^14 bytes, beyond the address space, so
+    # the first allocation fails at once
+    ("build", "--beta", "3000000,1"),
+])
+def test_too_large_beta_is_one_error_line(capsys, argv):
+    _assert_one_error_line(capsys, cli_main(list(argv)))
+
+
 def test_round_trip_color_validate_eta(tmp_path, capsys):
     path = str(tmp_path / "coloring.json")
     code, _ = run(capsys, "color", "--beta", "1,2", "--out", path)

@@ -418,3 +418,19 @@ def test_paint_audit_fires_when_a_quad_is_missing():
 
     with pytest.raises(AssertionError, match="exactly 3 times"):
         paint_from_flower(SimpleNamespace(regions=regions), build_complex(be))
+
+
+def test_paint_audit_fires_when_a_quad_changes_color():
+    be = EisensteinInt(2, 5)
+    cf = capped_flower(be)
+
+    def regions():
+        flipped = False
+        for kind, data, color in cf.regions():
+            if kind == "quad" and not flipped:
+                flipped = True
+                color = 1 - color
+            yield kind, data, color
+
+    with pytest.raises(AssertionError, match="inconsistent paint on face"):
+        paint_from_flower(SimpleNamespace(regions=regions), build_complex(be))

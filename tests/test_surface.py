@@ -19,6 +19,7 @@ from eisenfold.surface import (
     columns,
     degree_sequence,
 )
+from oracles import divmod_build
 
 
 def plane_neighbor(anchor: tuple[int, int], orientation: int, side: int):
@@ -102,6 +103,14 @@ def test_degree_sequences():
 def test_rejects_zero():
     with pytest.raises(DomainError):
         build_complex(EisensteinInt(0, 0))
+
+
+@pytest.mark.parametrize("beta", [(99999999999, 1), (1_500_000_000, 0)])
+def test_rejects_beta_whose_torus_exceeds_an_index(beta):
+    # 2 norm(delta) = 6 norm(beta) > sys.maxsize, so no list can hold the
+    # torus faces; at (1.5e9, 0) norm(delta) itself is still below sys.maxsize
+    with pytest.raises(DomainError, match="too large"):
+        build_complex(EisensteinInt(*beta))
 
 
 def test_euler_formula_and_structure_small_sweep():
@@ -447,3 +456,52 @@ def test_golden_sequence_leaves_no_per_face_objects():
     assert not any(gc.is_tracked(row) for row in c.pairing)
     assert not any(gc.is_tracked(ids) for ids in c.face_vertices)
     assert "faces" not in c.__dict__ and "vertices" not in c.__dict__
+
+
+_DIVMOD_FIELDS = ("_tris", "pairing", "face_vertices", "_vpoints", "degrees", "_face_of")
+
+
+def _assert_matches_divmod_build(beta):
+    c = build_complex(EisensteinInt(*beta))
+    for name, value in divmod_build(EisensteinInt(*beta)).items():
+        assert getattr(c, name) == value, (beta, name)
+
+
+def test_stepping_build_matches_divmod_build_for_every_small_beta():
+    for a in range(-13, 14):
+        for b in range(-13, 14):
+            if (a, b) != (0, 0):
+                _assert_matches_divmod_build((a, b))
+
+
+# (beta, h2): h2 = 3 for (1,76) and (56,89), 1 for (13,21) and (3,125), and
+# 2, 5 and 9 for the imprimitive (2,4), (0,5) and (3,3)
+@pytest.mark.parametrize("beta, h2", [
+    ((1, 76), 3), ((56, 89), 3), ((13, 21), 1), ((3, 125), 1),
+    ((2, 4), 2), ((0, 5), 5), ((3, 3), 9),
+])
+def test_stepping_build_matches_divmod_build(beta, h2):
+    assert build_complex(EisensteinInt(*beta))._h2 == h2
+    _assert_matches_divmod_build(beta)
+
+
+@pytest.mark.parametrize("beta, h2", [
+    ((2, 3), 1), ((2, 4), 2), ((1, 4), 3), ((0, 5), 5), ((3, 3), 9),
+])
+def test_column_faces_step_like_face_at(beta, h2):
+    c = build_complex(EisensteinInt(*beta))
+    assert c._h2 == h2
+    rng = random.Random(14)
+    R = 3 * (abs(c.delta.a) + abs(c.delta.b)) + 4
+    wrapped = 0
+    for k in range(300):
+        a, lo = rng.randint(-R, R), rng.randint(-R, R)
+        if k % 2:
+            # start in the last row, whose indices are >= n - h1, so the
+            # first step by +alpha wraps into row 0
+            lo += (h2 - 1 - lo) % h2
+        hi = lo + rng.randint(-1, 4 * h2 + 6)
+        wrapped += lo % h2 == h2 - 1 and hi > lo
+        for o in (UP, DOWN):
+            assert c.column_faces(a, lo, hi, o) == [c.face_at(a, b, o) for b in range(lo, hi + 1)]
+    assert wrapped >= 100
