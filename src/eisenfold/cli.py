@@ -22,6 +22,7 @@ from .coloring import (
     to_json_dict,
 )
 from .eisenstein import DomainError, EisensteinInt
+from .jsonio import decimal_int
 from .limits import (
     DEFAULT_DEPTH_SCHEDULE,
     UndeterminedError,
@@ -35,7 +36,7 @@ from .surface import build_complex
 
 def _parse_beta(text: str) -> EisensteinInt:
     try:
-        a, b = (int(x) for x in text.split(","))
+        a, b = (decimal_int(x) for x in text.split(","))
     except ValueError as exc:
         raise DomainError(f"beta must be 'a,b', got {text!r}") from exc
     return EisensteinInt(a, b)
@@ -43,7 +44,7 @@ def _parse_beta(text: str) -> EisensteinInt:
 
 def _parse_aspect(text: str) -> Fraction:
     try:
-        p, q = (int(x) for x in text.split("/"))
+        p, q = (decimal_int(x) for x in text.split("/"))
     except ValueError as exc:
         raise DomainError(f"flower aspect must be 'p/q', got {text!r}") from exc
     if q < 1 or gcd(p, q) != 1:
@@ -113,7 +114,7 @@ def _parse_depths(text: str) -> tuple[tuple[int, int], ...]:
     schedule = []
     for rung in text.split(";"):
         try:
-            d1, d2 = (int(x) for x in rung.split(","))
+            d1, d2 = (decimal_int(x) for x in rung.split(","))
         except ValueError as exc:
             raise DomainError(f"depths must be rungs 'd1,d2' joined by ';', got {text!r}") from exc
         if d1 < 1 or d2 < 1:
@@ -279,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="continued-fraction coloring (coloring.v1)")
     p.add_argument("--beta", required=True)
     p.add_argument("--swap", action="store_true", help="swap the two colors")
-    p.add_argument("--fill-phase", type=int, choices=(0, 1), default=0)
+    p.add_argument("--fill-phase", type=decimal_int, choices=(0, 1), default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_color)
 
@@ -304,11 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimize fold count over good colorings")
     p.add_argument("--beta", required=True)
     p.add_argument("--mode", choices=("exact", "anytime"), default="exact")
-    p.add_argument("--max-nodes", type=int)
+    p.add_argument("--max-nodes", type=decimal_int)
     p.add_argument("--max-seconds", type=float)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=decimal_int, default=1,
                    help="worker processes (exact mode)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=decimal_int, default=0)
     p.add_argument("--checkpoint-out")
     p.add_argument("--resume")
     p.add_argument("--timing", action="store_true", help="include wall_time in JSON")
@@ -317,14 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-ie", help="eta order sweep against all primitive beta'")
     p.add_argument("--betas", required=True, help="baselines like '1,2;2,3;3,5'")
-    p.add_argument("--b-max", type=int, required=True)
+    p.add_argument("--b-max", type=decimal_int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sweep_ie)
 
     p = sub.add_parser("render", help="deterministic SVG of a coloring or flower")
     p.add_argument("--beta")
     p.add_argument("--flower", help="aspect 'p/q' for an empty-flower diagram")
-    p.add_argument("--domains", type=int, help="fundamental domains per side (default 1)")
+    p.add_argument("--domains", type=decimal_int, help="fundamental domains per side (default 1)")
     p.add_argument("--no-rhombus", action="store_true")
     p.add_argument("--no-folds", action="store_true")
     p.add_argument("--bare", action="store_true", help="triangulation only, no coloring")

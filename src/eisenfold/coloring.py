@@ -9,7 +9,6 @@ proper vertex 4-colorings, recovered here by deterministic propagation.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -17,6 +16,7 @@ from operator import add
 
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
+from .jsonio import decimal_int, jint
 from .surface import CORNERS, DOWN, NEIGHBOR, UP, QuotientComplex, columns
 
 
@@ -322,8 +322,6 @@ def monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
 
 
 def to_json_dict(col: FaceColoring) -> dict:
-    from .jsonio import jint
-
     report = is_good(col)
     f = fold_count(col)
     e = Fraction(f * f, col.complex.face_count)
@@ -342,11 +340,8 @@ def _json_int(x) -> int:
     string for one beyond 64 bits."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
-        try:
-            return int(x)
-        except ValueError:  # past the interpreter's digit limit
-            pass
+    if isinstance(x, str):
+        return decimal_int(x)
     raise DomainError(f"expected an integer, got {x!r}")
 
 

@@ -127,6 +127,20 @@ def slow_gauss(r: Fraction) -> Fraction:
     return Fraction(lo, hi)
 
 
+def continued_fraction_terms(p: int, q: int):
+    """Lazily yield the partial quotients a0, a1, ..., am of p/q > 0.
+
+    The expansion is already canonical, final quotient >= 2 unless there is
+    one term: every step after the first divides a larger number by a
+    smaller one, so the step that leaves remainder 0 has a quotient >= 2.
+    A caller that stops early pays only for the terms it read.
+    """
+    while q:
+        a, r = divmod(p, q)
+        yield a
+        p, q = q, r
+
+
 def continued_fraction_euclid(p: int, q: int) -> list[int]:
     """Partial quotients [a0; a1, ..., am] of p/q by the Euclidean algorithm.
 
@@ -134,15 +148,7 @@ def continued_fraction_euclid(p: int, q: int) -> list[int]:
     """
     if p <= 0 or q <= 0:
         raise DomainError("needs a positive rational")
-    out = []
-    while q:
-        a, r = divmod(p, q)
-        out.append(a)
-        p, q = q, r
-    if len(out) > 1 and out[-1] == 1:
-        out.pop()
-        out[-1] += 1
-    return out
+    return list(continued_fraction_terms(p, q))
 
 
 def evaluate_continued_fraction(terms: list[int]) -> Fraction:

@@ -269,17 +269,19 @@ def cf_fold_count(a: int, b: int) -> int:
     built coloring for every small beta in the test suite.
 
     The orbit is summed one Euclidean quotient at a time: with b = q*a + r,
-    its run (a, b - i*a), i = 0..q-1, adds q*(a + b) - a*q*(q-1)/2 and
-    continues at (r, a); the last run, from (1, b) down to (1, 1), adds
-    b + b*(b+1)/2.  So the cost is the length of the continued fraction,
-    not the sum of its partial quotients.
+    its run (a, b - i*a), i = 0..q-1, adds q*(a + b) - a*q*(q-1)/2, which
+    is a*q*(q+3)/2 + q*r, and continues at (r, a); the last run, from
+    (1, b) down to (1, 1), adds b + b*(b+1)/2.  So the cost is the length
+    of the continued fraction, not the sum of its partial quotients, and
+    each step multiplies the long numbers a and r once each by a term
+    built from the (usually short) quotient q alone.
     """
     if gcd(a, b) != 1 or not (1 <= a <= b):
         raise DomainError(f"need reduced 1 <= a <= b, got ({a}, {b})")
     total = 0
     while a > 1:
         q, r = divmod(b, a)
-        total += q * (a + b) - a * q * (q - 1) // 2
+        total += a * (q * (q + 3) // 2) + q * r
         a, b = r, a
     total += b + b * (b + 1) // 2
     return 3 + 2 * total

@@ -2,11 +2,11 @@
 
 For the golden aspect the fold and face counts have Fibonacci closed forms;
 for a general quadratic irrational zeta the limiting ratio is recovered
-numerically but exactly: expand eta of two deep rational approximants,
-keep the agreeing prefix of the continued fractions, detect a repeating
-tail, and reconstruct the quadratic surd it determines.  Detection is
-conservative (two depths, three full repeats, safety margin) and failure
-raises rather than guessing.
+numerically but exactly: expand eta of two deep rational approximants in
+lockstep, only as far as their continued fractions agree, detect a
+repeating tail in that prefix, and reconstruct the quadratic surd it
+determines.  Detection is conservative (two distinct approximants, three
+full repeats, safety margin) and failure raises rather than guessing.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from fractions import Fraction
 from itertools import chain, cycle, islice
 from math import gcd, isqrt
 
-from .eisenstein import DomainError, continued_fraction_euclid
+from .eisenstein import DomainError, continued_fraction_terms
 from .flower import cf_eta, cf_face_count, cf_fold_count
+from .jsonio import decimal_int
 from .surd import CFExpansion, QuadraticSurd, periodic_cf_of_surd, surd_from_periodic_cf
 
 DEFAULT_DEPTH_SCHEDULE = ((40, 60), (150, 200), (400, 500), (1200, 1500))
@@ -70,9 +71,9 @@ def parse_zeta(text: str) -> QuadraticSurd:
         return golden_zeta()
     if text.startswith("sqrt:"):
         try:
-            n = int(text[5:])
-        except ValueError as exc:
-            raise DomainError(f"sqrt:N needs an integer N, got {text!r}") from exc
+            n = decimal_int(text[5:])
+        except DomainError as exc:
+            raise DomainError(f"sqrt:N needs a decimal integer N, got {text!r}") from exc
         return sqrt_zeta(n)
     raise DomainError(f"unrecognized zeta syntax {text!r}")
 
@@ -107,6 +108,23 @@ def eta_of_approximant(p: int, q: int) -> Fraction:
     return cf_eta(p, q)
 
 
+def _agreeing_prefix(x: Fraction, y: Fraction) -> list[int]:
+    """The leading partial quotients that x > 0 and y > 0 share.
+
+    Both expansions advance in lockstep and stop at the first term where
+    they differ or either one ends, so no term past the answer is computed.
+    """
+    prefix = []
+    for s, t in zip(
+        continued_fraction_terms(x.numerator, x.denominator),
+        continued_fraction_terms(y.numerator, y.denominator),
+    ):
+        if s != t:
+            break
+        prefix.append(s)
+    return prefix
+
+
 @dataclass(frozen=True)
 class EtaLimitResult:
     zeta: QuadraticSurd
@@ -122,26 +140,32 @@ def eta_limit_numeric(
 ) -> EtaLimitResult:
     """Limit of eta along zeta's approximants, reconstructed as an exact surd.
 
-    Two approximants with denominators near 10^d1 and 10^d2 are expanded;
-    the common continued-fraction prefix (minus a 5-term safety margin)
-    must contain at least three full repeats of a candidate period, the
-    reconstruction must land in Q(sqrt(d)), and re-expanding the
-    reconstructed surd must reproduce the whole trimmed prefix.  Raises
+    Each rung (d1, d2) takes the approximants with denominators near 10^d1
+    and 10^d2 and expands their eta in lockstep, stopping at the first
+    term where the two continued fractions differ or either one ends.  The
+    common prefix (minus a 5-term safety margin) must contain at least
+    three full repeats of a candidate period, the reconstruction must land
+    in Q(sqrt(d)), and re-expanding the reconstructed surd must reproduce
+    the whole trimmed prefix.  A rung whose two depths pick the same
+    approximant is skipped: its "common prefix" would be the whole
+    expansion of one rational, which says nothing about the limit.  A rung
+    with d1 == d2 always does that, so it raises DomainError.  Raises
     UndeterminedError when no rung of the schedule satisfies all checks.
     """
     if zeta.is_rational() or not (QuadraticSurd(Fraction(0), Fraction(0), 1) < zeta < 1):
         raise DomainError("zeta must be a quadratic irrational in (0, 1)")
     for d1, d2 in depth_schedule:
-        expansions = []
-        for digits in (d1, d2):
-            r = approximant(zeta, 10 ** digits)
-            e = eta_of_approximant(r.numerator, r.denominator)
-            expansions.append(continued_fraction_euclid(e.numerator, e.denominator))
-        m = 0
-        limit = min(len(e) for e in expansions)
-        while m < limit and expansions[0][m] == expansions[1][m]:
-            m += 1
-        prefix = expansions[0][: max(0, m - 5)]
+        if d1 == d2:
+            raise DomainError(f"rung ({d1}, {d2}) needs two different depths")
+    for d1, d2 in depth_schedule:
+        r1, r2 = approximant(zeta, 10 ** d1), approximant(zeta, 10 ** d2)
+        if r1 == r2:
+            continue
+        prefix = _agreeing_prefix(
+            eta_of_approximant(r1.numerator, r1.denominator),
+            eta_of_approximant(r2.numerator, r2.denominator),
+        )
+        del prefix[max(0, len(prefix) - 5) :]
         hit = _detect_period(prefix)
         if hit is None:
             continue

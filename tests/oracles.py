@@ -414,6 +414,24 @@ def check_nesting(parent: Necklace, child: Necklace) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The fold count of the continued-fraction coloring summed one Euclidean run
+# at a time with the run's closed form as first derived.  The library's
+# `flower.cf_fold_count` adds the same run in fewer long-integer operations.
+
+
+def per_run_fold_count(a: int, b: int) -> int:
+    """3 + 2 * the orbit sum, each run (a, b - i*a), i < q, adding
+    q*(a + b) - a*q*(q-1)/2."""
+    total = 0
+    while a > 1:
+        q, r = divmod(b, a)
+        total += q * (a + b) - a * q * (q - 1) // 2
+        a, b = r, a
+    total += b + b * (b + 1) // 2
+    return 3 + 2 * total
+
+
+# ---------------------------------------------------------------------------
 # Goodness and the vertex 4-coloring with a [black, white] pair per vertex,
 # a permutation sign computed per call and a list-popping BFS queue.
 

@@ -381,9 +381,40 @@ def test_search_resume_reads_its_own_checkpoint(tmp_path, capsys):
     ["--zeta", "golden", "--depths", "0,0"],
     ["--zeta", "golden", "--depths", "40,60;150,-200"],
     ["--zeta", "sqrt:x"],
+    ["--zeta", "sqrt:6", "--depths", "150,150"],
+    ["--zeta", "golden", "--depths", "40,60;150,150"],
 ])
 def test_eta_limit_malformed_arguments_are_one_error_line(capsys, argv):
     _assert_one_error_line(capsys, cli_main(["eta-limit"] + argv))
+
+
+# int() would read each of these, silently: '_' separators, spaces, a '+'
+# sign and non-ASCII digits
+@pytest.mark.parametrize("argv", [
+    ["eta-limit", "--zeta", "sqrt:1_3"],
+    ["eta-limit", "--zeta", "sqrt: 13"],
+    ["eta-limit", "--zeta", "sqrt:+13"],
+    ["eta-limit", "--zeta", "sqrt:\u0661\u0663"],
+    ["eta-limit", "--zeta", "golden", "--depths", "4_0,60"],
+    ["eta-limit", "--zeta", "golden", "--depths", "40, 60"],
+    ["build", "--beta", " 1_0, 2"],
+    ["build", "--beta", "2,+3"],
+    ["sweep-ie", "--betas", "1,2;2, 3", "--b-max", "20"],
+    ["sweep-ie", "--betas", "1,2", "--b-max", "2_0"],
+    ["render", "--flower", "3/ 7"],
+    ["render", "--beta", "2,3", "--domains", "\u0662"],
+    ["color", "--beta", "2,3", "--fill-phase", "+0"],
+    ["search", "--beta", "1,2", "--seed", "1_0"],
+    ["search", "--beta", "1,2", "--max-nodes", " 50"],
+    ["search", "--beta", "1,2", "--threads", "+1"],
+])
+def test_integers_are_read_strictly(capsys, argv):
+    _assert_one_error_line(capsys, cli_main(argv))
+
+
+def test_negative_integers_are_still_read(capsys):
+    code, out = run(capsys, "build", "--beta", "2,-3")
+    assert code == 0 and json.loads(out)["beta"] == [1, 2]  # the orbit representative
 
 
 # argparse's own usage errors exit 2 by default, the code of an exhausted

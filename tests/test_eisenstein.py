@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eisenfold.eisenstein import (
     ALPHA,
@@ -10,6 +12,7 @@ from eisenfold.eisenstein import (
     EisensteinInt,
     canonicalize,
     continued_fraction_euclid,
+    continued_fraction_terms,
     evaluate_continued_fraction,
     is_primitive,
     mul,
@@ -178,6 +181,44 @@ def test_continued_fraction_matches_euclid_and_roundtrips():
             cf = continued_fraction(Fraction(p, q))
             assert cf == continued_fraction_euclid(p, q)
             assert evaluate_continued_fraction(cf) == Fraction(p, q)
+
+
+# partial quotients, a few of them long; a0 may be 0, the rest are >= 1
+CF_TERMS = st.lists(
+    st.one_of(st.integers(1, 9), st.integers(1, 10 ** 30)), min_size=1, max_size=12
+).flatmap(lambda rest: st.integers(0, 9).map(lambda a0: [a0] + rest[1:]))
+
+
+def canonical_terms(terms: list[int]) -> list[int]:
+    """terms with a final quotient of 1 merged into the one before it."""
+    if len(terms) > 1 and terms[-1] == 1:
+        return terms[:-2] + [terms[-2] + 1]
+    return terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=CF_TERMS)
+def test_lazy_terms_are_the_canonical_expansion(terms):
+    # a term list ending in 1 spells the same rational as its canonical form
+    x = evaluate_continued_fraction(terms)
+    assume(x > 0)
+    lazy = list(continued_fraction_terms(x.numerator, x.denominator))
+    assert lazy == continued_fraction_euclid(x.numerator, x.denominator)
+    assert lazy == canonical_terms(terms)
+    assert len(lazy) == 1 or lazy[-1] >= 2
+
+
+@pytest.mark.parametrize("p, q, terms", [
+    (1, 1, [1]), (7, 7, [1]), (5, 1, [5]), (3, 2, [1, 2]), (2, 3, [0, 1, 2]),
+])
+def test_lazy_terms_of_integers_and_a_last_quotient_of_1(p, q, terms):
+    assert list(continued_fraction_terms(p, q)) == terms == continued_fraction_euclid(p, q)
+
+
+def test_continued_fraction_euclid_rejects_non_positive():
+    for p, q in [(0, 1), (1, 0), (-1, 2), (2, -3)]:
+        with pytest.raises(DomainError):
+            continued_fraction_euclid(p, q)
 
 
 def test_continued_fraction_roundtrip_all_denominators_to_500():

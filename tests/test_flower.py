@@ -19,8 +19,9 @@ from eisenfold.flower import (
     necklace_gamma,
     stripe_counts,
 )
+from eisenfold.limits import approximant, parse_zeta
 from eisenfold.surface import DOWN, UP, PlaneTriangleId, build_complex
-from oracles import check_necklace, check_nesting, color_at, continued_fraction
+from oracles import check_necklace, check_nesting, color_at, continued_fraction, per_run_fold_count
 
 O = EisensteinInt(0, 0)
 
@@ -291,7 +292,8 @@ def test_cf_fold_count_matches_the_orbit_sum_through_b_300():
     for b in range(1, 301):
         for a in range(1, b + 1):
             if gcd(a, b) == 1:
-                assert cf_fold_count(a, b) == _orbit_fold_count(a, b), (a, b)
+                f = cf_fold_count(a, b)
+                assert f == _orbit_fold_count(a, b) == per_run_fold_count(a, b), (a, b)
 
 
 @pytest.mark.parametrize("digits", [40, 400])
@@ -304,6 +306,14 @@ def test_cf_fold_count_matches_the_orbit_sum_on_long_pairs(digits):
             continue
         assert cf_fold_count(a, b) == _orbit_fold_count(a, b), (a, b)
         pairs += 1
+
+
+@pytest.mark.parametrize("digits", [1200, 1500])
+@pytest.mark.parametrize("zeta", ["golden", "sqrt:2", "sqrt:7", "sqrt:23", "sqrt:89"])
+def test_cf_fold_count_matches_the_per_run_sum_at_deep_convergents(zeta, digits):
+    r = approximant(parse_zeta(zeta), 10 ** digits)
+    a, b = r.numerator, r.denominator
+    assert cf_fold_count(a, b) == per_run_fold_count(a, b)
 
 
 @pytest.mark.parametrize("a, b", [(2, 4), (3, 2), (0, 1), (0, 0), (-1, 2), (6, 9)])

@@ -2,13 +2,14 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eisenfold.eisenstein import DomainError
+from eisenfold.eisenstein import DomainError, continued_fraction_euclid, evaluate_continued_fraction
 from eisenfold.flower import cf_face_count, cf_fold_count
 from eisenfold.limits import (
     UndeterminedError,
+    _agreeing_prefix,
     _detect_period,
     approximant,
     convergents,
@@ -85,6 +86,74 @@ def test_eta_limit_takes_each_approximant_from_approximant(monkeypatch):
     monkeypatch.setattr(limits, "approximant", counted)
     eta_limit_numeric(golden_zeta(), ((40, 60),))
     assert calls == [10 ** 40, 10 ** 60]
+
+
+def _common_prefix(xs: list[int], ys: list[int]) -> list[int]:
+    m = 0
+    while m < min(len(xs), len(ys)) and xs[m] == ys[m]:
+        m += 1
+    return xs[:m]
+
+
+CF_TAIL = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 10 ** 20)), max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(head=st.integers(0, 5), common=CF_TAIL, tail1=CF_TAIL, tail2=CF_TAIL, equal=st.booleans())
+def test_lockstep_prefix_is_the_common_prefix_of_the_full_expansions(head, common, tail1, tail2, equal):
+    # equal pairs, one expansion a prefix of the other (an empty tail),
+    # integers (head alone) and a last quotient of 1 all arise
+    if equal:
+        tail2 = tail1
+    x = evaluate_continued_fraction([head] + common + tail1)
+    y = evaluate_continued_fraction([head] + common + tail2)
+    assume(x > 0 and y > 0)
+    full = [continued_fraction_euclid(v.numerator, v.denominator) for v in (x, y)]
+    assert _agreeing_prefix(x, y) == _common_prefix(*full)
+
+
+@pytest.mark.parametrize("x, y, prefix", [
+    (Fraction(3), Fraction(3), [3]),
+    (Fraction(3), Fraction(4), []),
+    (Fraction(3), Fraction(7, 2), [3]),
+    (Fraction(10, 7), Fraction(10, 7), [1, 2, 3]),
+    (Fraction(3, 2), Fraction(10, 7), [1, 2]),
+    (Fraction(16, 11), Fraction(21, 16), [1]),  # [1; 2, 5] and [1; 3, 5]
+])
+def test_lockstep_prefix_examples(x, y, prefix):
+    assert _agreeing_prefix(x, y) == _agreeing_prefix(y, x) == prefix
+
+
+@pytest.mark.parametrize("schedule", [((150, 150),), ((40, 60), (150, 150))])
+def test_eta_limit_rejects_a_rung_with_equal_depths(monkeypatch, schedule):
+    # checked before any rung is computed
+    import eisenfold.limits as limits
+
+    monkeypatch.setattr(limits, "approximant", None)
+    with pytest.raises(DomainError):
+        eta_limit_numeric(sqrt_zeta(6), schedule)
+
+
+def test_eta_limit_skips_a_rung_whose_depths_pick_one_approximant(monkeypatch):
+    # 10^49 and 10^50 select one convergent of sqrt(80); the whole
+    # expansion of its eta then passed every check as a wrong "exact" limit
+    import eisenfold.limits as limits
+
+    zeta = sqrt_zeta(80)
+    assert approximant(zeta, 10 ** 49) == approximant(zeta, 10 ** 50)
+    expanded = []
+    monkeypatch.setattr(limits, "eta_of_approximant", lambda p, q: expanded.append(q))
+    with pytest.raises(UndeterminedError):
+        eta_limit_numeric(zeta, ((49, 50),))
+    assert expanded == []
+
+
+def test_eta_limit_goes_on_past_a_skipped_rung():
+    zeta = sqrt_zeta(40)
+    assert approximant(zeta, 10 ** 40) == approximant(zeta, 10 ** 41)
+    res = eta_limit_numeric(zeta, ((40, 41), (400, 500)))
+    assert res.depths_used == (400, 500)
+    assert res.surd == QuadraticSurd(Fraction(18965, 402), Fraction(-190, 201), 10)
 
 
 def test_eta_of_approximant_guards():
