@@ -7,6 +7,13 @@ lockstep, only as far as their continued fractions agree, detect a
 repeating tail in that prefix, and reconstruct the quadratic surd it
 determines.  Detection is conservative (two distinct approximants, three
 full repeats, safety margin) and failure raises rather than guessing.
+
+All approximants of one limit come from one walk down zeta's continued
+fraction.  Next to each convergent h/k the walk carries the fold count f
+that `flower.cf_fold_count` would run Euclid's algorithm on (h, k) to find,
+by a recurrence of the convergents' own shape (see `_convergents`), so
+eta = f^2 / F costs no Euclid at all.  Depths that go up resume the walk;
+a lower depth restarts it when its convergent lies behind the walk's.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from itertools import chain, cycle, islice
 from math import gcd, isqrt
 
 from .eisenstein import DomainError, continued_fraction_terms
-from .flower import cf_eta, cf_face_count, cf_fold_count
+from .flower import cf_eta, cf_face_count
 from .jsonio import decimal_int
 from .surd import CFExpansion, QuadraticSurd, periodic_cf_of_surd, surd_from_periodic_cf
 
@@ -79,26 +86,76 @@ def parse_zeta(text: str) -> QuadraticSurd:
 
 
 def _convergents(e: CFExpansion):
-    """The nonzero convergents (h, k) of the expansion e, in order."""
+    """The nonzero convergents (h, k) of the expansion e, in order, each with
+    the fold count f of the continued-fraction coloring of h/k.
+
+    For e = [0; t1, t2, ...] Euclid on (h_n, k_n) takes the quotients t1..tn
+    in order, and cf_fold_count's orbit sum adds, per quotient t_i, the run
+    a*t_i(t_i+3)/2 + t_i*r whose a and r are continuants of t_(i+1)..tn.
+    Continuants obey the convergents' recurrence, and so, up to a small
+    term, does the fold: f_n = t_n*f_(n-1) + f_(n-2) + t_n^2 + 2*t_(n-1),
+    with f_0 = f_(-1) = 3 and t_0 = 0.  f means nothing for zeta outside
+    (0, 1).
+    """
     h, h1 = 1, 0
     k, k1 = 0, 1
-    for t in chain(e.preperiod, cycle(e.period)):
+    f, f1, t0 = 3, 3, 0
+    terms = chain(e.preperiod, cycle(e.period))
+    t = next(terms)  # the leading term is not one of Euclid's quotients
+    while True:
         h, h1 = t * h + h1, h
         k, k1 = t * k + k1, k
         if h > 0:
-            yield h, k
+            yield h, k, f
+        t0, t = t, next(terms)
+        f, f1 = t * f + f1 + t * t + 2 * t0, f
 
 
-def approximant(zeta: QuadraticSurd, min_denominator: int) -> Fraction:
-    """First continued-fraction convergent of zeta with denominator >= bound."""
-    e = periodic_cf_of_surd(zeta)
-    return next(Fraction(h, k) for h, k in _convergents(e) if k >= min_denominator)
+class _Walk:
+    """A resumable walk over zeta's nonzero convergents: `h / k` is the
+    current one and `fold` the fold count of its coloring."""
+
+    def __init__(self, zeta: QuadraticSurd):
+        self._expansion = periodic_cf_of_surd(zeta)
+        self._restart()
+
+    def _restart(self) -> None:
+        self._steps = _convergents(self._expansion)
+        self.h, self.k, self.fold = next(self._steps)
+        self._k_before = 0  # denominator of the convergent before this one
+
+    def seek(self, min_denominator: int) -> None:
+        """Move to the first convergent with k >= min_denominator."""
+        if self._k_before >= min_denominator:
+            self._restart()
+        h, k, fold, k_before, steps = self.h, self.k, self.fold, self._k_before, self._steps
+        while k < min_denominator:
+            k_before = k
+            h, k, fold = next(steps)
+        self.h, self.k, self.fold, self._k_before = h, k, fold, k_before
+
+
+def approximant(zeta: QuadraticSurd, min_denominator: int, walk: _Walk | None = None) -> Fraction:
+    """First continued-fraction convergent of zeta with denominator >= bound.
+
+    Given a walk over zeta's convergents, moves that walk there and leaves
+    it there; otherwise walks from zeta's first convergent.
+    """
+    if walk is None:
+        walk = _Walk(zeta)
+    walk.seek(min_denominator)
+    return Fraction(walk.h, walk.k)
 
 
 def convergents(zeta: QuadraticSurd, count: int) -> list[Fraction]:
     """The first `count` nonzero convergents; for the golden aspect the n-th
     (1-based) is the Fibonacci ratio a_n / a_{n+1}."""
-    return [Fraction(h, k) for h, k in islice(_convergents(periodic_cf_of_surd(zeta)), count)]
+    return [Fraction(h, k) for h, k, _ in islice(_convergents(periodic_cf_of_surd(zeta)), count)]
+
+
+def _check_unit_zeta(zeta: QuadraticSurd) -> None:
+    if zeta.is_rational() or not (QuadraticSurd(Fraction(0), Fraction(0), 1) < zeta < 1):
+        raise DomainError("zeta must be a quadratic irrational in (0, 1)")
 
 
 def eta_of_approximant(p: int, q: int) -> Fraction:
@@ -106,6 +163,10 @@ def eta_of_approximant(p: int, q: int) -> Fraction:
     if gcd(p, q) != 1 or not (1 <= p <= q):
         raise DomainError(f"approximant must be reduced with 1 <= p <= q, got {p}/{q}")
     return cf_eta(p, q)
+
+
+def _eta(r: Fraction, fold: int) -> Fraction:
+    return Fraction(fold * fold, cf_face_count(r.numerator, r.denominator))
 
 
 def _agreeing_prefix(x: Fraction, y: Fraction) -> list[int]:
@@ -152,19 +213,18 @@ def eta_limit_numeric(
     with d1 == d2 always does that, so it raises DomainError.  Raises
     UndeterminedError when no rung of the schedule satisfies all checks.
     """
-    if zeta.is_rational() or not (QuadraticSurd(Fraction(0), Fraction(0), 1) < zeta < 1):
-        raise DomainError("zeta must be a quadratic irrational in (0, 1)")
+    _check_unit_zeta(zeta)
     for d1, d2 in depth_schedule:
         if d1 == d2:
             raise DomainError(f"rung ({d1}, {d2}) needs two different depths")
+    walk = _Walk(zeta)
     for d1, d2 in depth_schedule:
-        r1, r2 = approximant(zeta, 10 ** d1), approximant(zeta, 10 ** d2)
+        r1 = approximant(zeta, 10 ** d1, walk)
+        f1 = walk.fold
+        r2 = approximant(zeta, 10 ** d2, walk)
         if r1 == r2:
             continue
-        prefix = _agreeing_prefix(
-            eta_of_approximant(r1.numerator, r1.denominator),
-            eta_of_approximant(r2.numerator, r2.denominator),
-        )
+        prefix = _agreeing_prefix(_eta(r1, f1), _eta(r2, walk.fold))
         del prefix[max(0, len(prefix) - 5) :]
         hit = _detect_period(prefix)
         if hit is None:
@@ -233,12 +293,13 @@ def ratio_scan(zeta: QuadraticSurd, n_max: int) -> list[ScanRow]:
 
     Row n uses the n-th continued-fraction convergent of zeta; for the
     golden aspect that is the pair of consecutive Fibonacci numbers
-    (a_n, a_{n+1}).
+    (a_n, a_{n+1}).  zeta must lie in (0, 1), where each convergent indexes
+    a coloring.
     """
+    _check_unit_zeta(zeta)
     rows = []
-    for n, r in enumerate(convergents(zeta, n_max), start=1):
-        p, q = r.numerator, r.denominator
-        f = cf_fold_count(p, q)
+    steps = islice(_convergents(periodic_cf_of_surd(zeta)), n_max)
+    for n, (p, q, f) in enumerate(steps, start=1):
         faces = cf_face_count(p, q)
         rows.append(
             ScanRow(n, p, q, f, faces, Fraction(f, faces), Fraction(f * f, faces))

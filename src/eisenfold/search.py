@@ -29,7 +29,7 @@ from .coloring import (
 )
 from . import jsonio
 from .eisenstein import DomainError, EisensteinInt
-from .flower import BLACK, WHITE, cf_eta, cf_face_count, cf_fold_count
+from .flower import BLACK, WHITE, cf_eta
 from .surface import QuotientComplex
 
 CHECKPOINT_FORMAT = "eisenfold-search-checkpoint.v1"
@@ -788,23 +788,43 @@ def ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepReport:
     Eta values come from the necklace-layer fold formula, which the test
     suite pins against the constructed colorings.  eta = f^2 / F with F > 0,
     so each pair is compared by integer cross-multiplication.
+
+    The pairs 1 <= a' <= b' < b_max with gcd 1 are walked once as a forest
+    of Euclid trees (N. Calkin and H. Wilf, "Recounting the rationals",
+    2000): the roots are (1, b'), and (r, a) with r < a has the children
+    (a, q*a + r), q >= 1, whose Euclid step runs back to (r, a).  So no pair
+    needs a gcd, and cf_fold_count's f = 3 + 2*S, S its orbit sum, is the
+    root's 3 + b'(b'+3) plus 2*(a*q(q+3)/2 + q*r), twice one run, per step
+    down.  Each baseline's violations are reported in the order b' then a'.
     """
     baselines = {}
-    violations = []
-    checked = 0
     for a, b in betas:
         if gcd(a, b) != 1 or not (1 <= a <= b):
             raise DomainError(f"baseline ({a}, {b}) is not canonical primitive")
         baselines[(a, b)] = cf_eta(a, b)
-    for (a, b), base_eta in baselines.items():
-        n0, d0 = base_eta.numerator, base_eta.denominator
-        for b2 in range(b, b_max):
-            for a2 in range(1, b2 + 1):
-                if gcd(a2, b2) != 1 or (a2, b2) == (a, b):
-                    continue
+    # per baseline: the pair, eta's numerator and denominator, and the
+    # (b', a') that break the order, which sort into the order b' then a'
+    checks = [(base, e.numerator, e.denominator, []) for base, e in baselines.items()]
+    checked = 0
+    stack = [(1, b2, 3 + b2 * (b2 + 3)) for b2 in range(1, b_max)]
+    while stack:
+        a2, b2, f = stack.pop()
+        ff, faces = f * f, 2 * (a2 * a2 + a2 * b2 + b2 * b2)
+        for (_, b), n0, d0, found in checks:
+            if b2 >= b:
                 checked += 1
-                if not n0 * cf_face_count(a2, b2) < cf_fold_count(a2, b2) ** 2 * d0:
-                    violations.append(((a, b), (a2, b2)))
+                if not n0 * faces < ff * d0:
+                    found.append((b2, a2))
+        q, b3 = 1, b2 + a2
+        while b3 < b_max and a2 < b2:
+            stack.append((b2, b3, f + b2 * q * (q + 3) + 2 * q * a2))
+            q, b3 = q + 1, b3 + b2
+    violations = []
+    for (a, b), _, _, found in checks:
+        if b < b_max:  # the baseline met itself, as a tie
+            checked -= 1
+            found.remove((b, a))
+        violations += [((a, b), (a2, b2)) for b2, a2 in sorted(found)]
     return IeSweepReport(
         baselines={k: (v.numerator, v.denominator) for k, v in baselines.items()},
         checked=checked,

@@ -3,6 +3,7 @@
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from eisenfold.coloring import (
     DevelopmentError,
@@ -21,8 +22,18 @@ from eisenfold.eisenstein import (
     is_primitive,
     slow_gauss,
 )
-from eisenfold.flower import BLACK, WHITE, CappedFlower, Necklace, Trapezoid
+from eisenfold.flower import (
+    BLACK,
+    WHITE,
+    CappedFlower,
+    Necklace,
+    Trapezoid,
+    cf_eta,
+    cf_face_count,
+    cf_fold_count,
+)
 from eisenfold.render import _FILL, _xy
+from eisenfold.search import IeSweepReport
 from eisenfold.surface import (
     CELL_OPEN_SIDES,
     CORNERS,
@@ -429,6 +440,36 @@ def per_run_fold_count(a: int, b: int) -> int:
         a, b = r, a
     total += b + b * (b + 1) // 2
     return 3 + 2 * total
+
+
+# ---------------------------------------------------------------------------
+# The order-comparison sweep over every (a', b') in row order, with one gcd
+# and one Euclid per pair.  The library's `search.ie_sweep` walks the Euclid
+# tree instead and must report the same pairs in the same order.
+
+
+def reference_ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepReport:
+    baselines = {}
+    violations = []
+    checked = 0
+    for a, b in betas:
+        if gcd(a, b) != 1 or not (1 <= a <= b):
+            raise DomainError(f"baseline ({a}, {b}) is not canonical primitive")
+        baselines[(a, b)] = cf_eta(a, b)
+    for (a, b), base_eta in baselines.items():
+        n0, d0 = base_eta.numerator, base_eta.denominator
+        for b2 in range(b, b_max):
+            for a2 in range(1, b2 + 1):
+                if gcd(a2, b2) != 1 or (a2, b2) == (a, b):
+                    continue
+                checked += 1
+                if not n0 * cf_face_count(a2, b2) < cf_fold_count(a2, b2) ** 2 * d0:
+                    violations.append(((a, b), (a2, b2)))
+    return IeSweepReport(
+        baselines={k: (v.numerator, v.denominator) for k, v in baselines.items()},
+        checked=checked,
+        violations=tuple(violations),
+    )
 
 
 # ---------------------------------------------------------------------------

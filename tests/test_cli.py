@@ -269,6 +269,15 @@ def test_selftest_names_the_failure(monkeypatch, capsys):
     assert out.count("PASS") == 3
 
 
+def test_sweep_ie_json_is_pinned(capsys):
+    # recorded while the sweep still took one gcd and one Euclid per pair
+    code, out = run(capsys, "sweep-ie", "--betas", "1,2;2,3;3,5;1,3", "--b-max", "450")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "48da2e8052de759898691d9f6cc33b124c7c46516a3845f80f3bd1a2dc62c08d"
+    )
+
+
 def test_sweep_ie_malformed_betas(capsys):
     _assert_one_error_line(capsys, cli_main(["sweep-ie", "--betas", "1,x", "--b-max", "10"]))
 

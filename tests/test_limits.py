@@ -10,6 +10,7 @@ from eisenfold.flower import cf_face_count, cf_fold_count
 from eisenfold.limits import (
     UndeterminedError,
     _agreeing_prefix,
+    _convergents,
     _detect_period,
     approximant,
     convergents,
@@ -22,7 +23,7 @@ from eisenfold.limits import (
     ratio_scan,
     sqrt_zeta,
 )
-from eisenfold.surd import QuadraticSurd
+from eisenfold.surd import QuadraticSurd, periodic_cf_of_surd
 
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
@@ -73,15 +74,42 @@ def test_approximant_depth():
     assert 0 < r < 1
 
 
+@pytest.mark.parametrize("text", ["golden", "sqrt:2", "sqrt:7", "sqrt:23", "sqrt:89"])
+def test_the_walks_fold_is_the_euclid_fold_at_every_convergent(text):
+    seen = 0
+    for h, k, f in _convergents(periodic_cf_of_surd(parse_zeta(text))):
+        if k >= 10 ** 300:
+            break
+        assert f == cf_fold_count(h, k)
+        seen += 1
+    assert seen > 400
+
+
+def test_convergents_and_approximant_keep_working_outside_the_unit_interval():
+    root2 = QuadraticSurd(Fraction(0), Fraction(1), 2)
+    assert approximant(root2, 10) == Fraction(17, 12)
+    assert convergents(root2, 4) == [Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(17, 12)]
+
+
+@pytest.mark.parametrize("zeta", [
+    QuadraticSurd(Fraction(0), Fraction(1), 2),  # sqrt(2) > 1 failed partway through
+    QuadraticSurd(Fraction(-1), Fraction(-1), 2),
+    QuadraticSurd(Fraction(1, 2), Fraction(0), 1),
+])
+def test_ratio_scan_needs_a_quadratic_irrational_in_the_unit_interval(zeta):
+    with pytest.raises(DomainError):
+        ratio_scan(zeta, 3)
+
+
 def test_eta_limit_takes_each_approximant_from_approximant(monkeypatch):
     # the benchmark's tracer times limits.approximant by rebinding the name
     import eisenfold.limits as limits
 
     calls = []
 
-    def counted(zeta, min_denominator):
+    def counted(zeta, min_denominator, walk=None):
         calls.append(min_denominator)
-        return approximant(zeta, min_denominator)
+        return approximant(zeta, min_denominator, walk)
 
     monkeypatch.setattr(limits, "approximant", counted)
     eta_limit_numeric(golden_zeta(), ((40, 60),))
@@ -142,7 +170,13 @@ def test_eta_limit_skips_a_rung_whose_depths_pick_one_approximant(monkeypatch):
     zeta = sqrt_zeta(80)
     assert approximant(zeta, 10 ** 49) == approximant(zeta, 10 ** 50)
     expanded = []
-    monkeypatch.setattr(limits, "eta_of_approximant", lambda p, q: expanded.append(q))
+    agreeing_prefix = limits._agreeing_prefix
+
+    def spy(x, y):
+        expanded.append((x, y))
+        return agreeing_prefix(x, y)
+
+    monkeypatch.setattr(limits, "_agreeing_prefix", spy)
     with pytest.raises(UndeterminedError):
         eta_limit_numeric(zeta, ((49, 50),))
     assert expanded == []
@@ -154,6 +188,35 @@ def test_eta_limit_goes_on_past_a_skipped_rung():
     res = eta_limit_numeric(zeta, ((40, 41), (400, 500)))
     assert res.depths_used == (400, 500)
     assert res.surd == QuadraticSurd(Fraction(18965, 402), Fraction(-190, 201), 10)
+
+
+# recorded before the depths of a limit shared one walk over the convergents;
+# a rung that goes down, or repeats, walks back to a shallower convergent
+SCHEDULE_PINS = {
+    ("sqrt:13", "400,500;40,60"): ((400, 500), 361, (Fraction(5897, 405), Fraction(757, 405), 13)),
+    ("sqrt:13", "60,40"): None,
+    ("sqrt:13", "40,60;40,60"): None,
+    ("sqrt:13", "500,400"): ((500, 400), 361, (Fraction(5897, 405), Fraction(757, 405), 13)),
+    ("sqrt:19", "400,500;40,60"): None,
+    ("sqrt:19", "60,40"): None,
+    ("sqrt:19", "40,60;40,60"): None,
+    ("golden", "60,40"): ((60, 40), 27, (Fraction(9), Fraction(4), 5)),
+    ("golden", "30,20;20,30"): ((30, 20), 11, (Fraction(9), Fraction(4), 5)),
+    ("sqrt:6", "40,60;40,60"): ((40, 60), 34, (Fraction(27, 2), Fraction(9, 2), 6)),
+    ("sqrt:6", "200,150"): ((200, 150), 145, (Fraction(27, 2), Fraction(9, 2), 6)),
+}
+
+
+@pytest.mark.parametrize("text, depths", sorted(SCHEDULE_PINS))
+def test_eta_limit_schedule_pins(text, depths):
+    schedule = tuple(tuple(int(d) for d in rung.split(",")) for rung in depths.split(";"))
+    pin = SCHEDULE_PINS[text, depths]
+    if pin is None:
+        with pytest.raises(UndeterminedError):
+            eta_limit_numeric(parse_zeta(text), schedule)
+        return
+    res = eta_limit_numeric(parse_zeta(text), schedule)
+    assert (res.depths_used, res.prefix_length, (res.surd.r, res.surd.s, res.surd.d)) == pin
 
 
 def test_eta_of_approximant_guards():

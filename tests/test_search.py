@@ -42,6 +42,7 @@ from oracles import (
     ReferenceDfs,
     brute_force_good_colorings,
     reference_expand_prefixes,
+    reference_ie_sweep,
 )
 
 
@@ -299,6 +300,20 @@ def test_ie_sweep_matches_a_fraction_comparison(base):
     rep = ie_sweep([base], b_max)
     assert rep.checked == len(pairs)
     assert rep.violations == tuple((base, p) for p in pairs if not base_eta < cf_eta(*p))
+
+
+@pytest.mark.parametrize("base", [(1, 2), (2, 3), (3, 5), (1, 3)])
+def test_ie_sweep_tree_matches_the_row_by_row_sweep(base):
+    rep = ie_sweep([base], 450)
+    assert rep == reference_ie_sweep([base], 450)
+    assert len(rep.violations) == (4 if base == (1, 3) else 0)
+
+
+@pytest.mark.parametrize("b_max", [-5, 0, 1, 2, 3, 4, 5, 6, 40])
+def test_ie_sweep_tree_matches_the_row_by_row_sweep_for_several_baselines(b_max):
+    # b_max around each baseline's b: below it, at it and one past it
+    betas = [(1, 3), (1, 1), (2, 5), (1, 3), (1, 2)]
+    assert ie_sweep(betas, b_max) == reference_ie_sweep(betas, b_max)
 
 
 def test_ie_sweep_example_comparison():
