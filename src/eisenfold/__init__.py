@@ -6,11 +6,9 @@ from .eisenstein import (
     EisensteinInt,
     canonicalize,
     is_primitive,
-    mul,
     slow_gauss,
-    tree_children,
 )
-from .surface import PlaneTriangleId, QuotientComplex, build_complex, degree_sequence
+from .surface import QuotientComplex, build_complex
 from .flower import (
     BLACK,
     WHITE,
@@ -25,7 +23,6 @@ from .flower import (
     fill_and_cap,
     necklace,
     necklace_gamma,
-    stripe_counts,
 )
 from .coloring import (
     FaceColoring,
@@ -40,11 +37,7 @@ from .coloring import (
     monochrome_regions,
     vertex_four_coloring,
 )
-from .isoperimetric import (
-    SpecialHexagon,
-    region_isoperimetric_check,
-    special_hexagon_area,
-)
+from .isoperimetric import SpecialHexagon, region_isoperimetric_check
 from .surd import CFExpansion, QuadraticSurd, periodic_cf_of_surd, surd_from_periodic_cf
 from .limits import (
     UndeterminedError,
@@ -58,7 +51,6 @@ from .limits import (
 from .search import (
     SearchBudget,
     SearchReport,
-    enumerate_good_colorings,
     ie_sweep,
     min_fold_search,
     vertex_swap,

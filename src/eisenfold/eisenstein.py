@@ -65,11 +65,6 @@ class EisensteinInt:
 ALPHA = EisensteinInt(0, 1)
 
 
-def mul(z: EisensteinInt, w: EisensteinInt) -> EisensteinInt:
-    """Ring product; the norm is multiplicative."""
-    return z * w
-
-
 def is_primitive(z: EisensteinInt) -> bool:
     """True iff z is not a proper integer multiple of a lattice point."""
     if z.is_zero():
@@ -109,19 +104,15 @@ def canonical(z: EisensteinInt) -> EisensteinInt:
 # invariants wanted of an aspect ratio, so it is used directly.
 
 
-def _check_unit_interval(r: Fraction, *, allow_one: bool) -> None:
-    if r <= 0:
-        raise DomainError(f"{r} is not positive")
-    if r > 1 or (r == 1 and not allow_one):
-        raise DomainError(f"{r} is outside the domain")
-
-
 def slow_gauss(r: Fraction) -> Fraction:
     """Send r in (0,1) to whichever of 1/r - 1 and its reciprocal is in (0,1].
 
     Equivalently a/(a+b) and b/(a+b) both map to a/b (with a <= b).
     """
-    _check_unit_interval(r, allow_one=False)
+    if r <= 0:
+        raise DomainError(f"{r} is not positive")
+    if r >= 1:
+        raise DomainError(f"{r} is outside the domain")
     p, q = r.numerator, r.denominator
     lo, hi = min(p, q - p), max(p, q - p)
     return Fraction(lo, hi)
@@ -149,21 +140,3 @@ def continued_fraction_euclid(p: int, q: int) -> list[int]:
     if p <= 0 or q <= 0:
         raise DomainError("needs a positive rational")
     return list(continued_fraction_terms(p, q))
-
-
-def evaluate_continued_fraction(terms: list[int]) -> Fraction:
-    value = Fraction(terms[-1])
-    for t in reversed(terms[:-1]):
-        value = t + 1 / value
-    return value
-
-
-def tree_children(r: Fraction) -> tuple[Fraction, Fraction]:
-    """Children a/(a+b) and b/(a+b) of r = a/b in the rational tree.
-
-    slow_gauss of either child returns r; the root 1/1 has the collapsed
-    single child 1/2 (returned twice).
-    """
-    _check_unit_interval(r, allow_one=True)
-    a, b = r.numerator, r.denominator
-    return Fraction(a, a + b), Fraction(b, a + b)

@@ -172,9 +172,6 @@ class CappedFlower:
         for c3, color in sorted(self.fill_colors.items()):
             yield ("fill", c3, color)
 
-    def triangle_count(self) -> int:
-        return 6 * self.beta.norm()
-
 
 def fill_and_cap(
     flower: list[tuple[Necklace, int]],
@@ -249,15 +246,6 @@ def _maximal_runs(necklaces) -> list[tuple[int, int]]:
             runs.append((first, i))
             first = i + 1
     return runs
-
-
-def stripe_counts(cf: CappedFlower) -> list[int]:
-    """Stripe counts of the maximal trapezoids, outermost run first.
-
-    They equal the continued-fraction partial quotients of the flower's
-    aspect.
-    """
-    return [last - first + 1 for first, last in _maximal_runs(cf.necklaces)]
 
 
 def cf_fold_count(a: int, b: int) -> int:

@@ -13,14 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 
 from .eisenstein import DomainError
 from .coloring import FaceColoring, GoodnessError, fold_count, is_good, monochrome_regions
 from .flower import WHITE
-
-# unit hexagon-walk directions in the (1, alpha) basis, 60 degrees apart
-_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,32 +50,6 @@ class SpecialHexagon:
         l1, l2, l3, l4, l5, l6 = self.lengths
         t = l6 + l1 + l2
         return t * t - l2 * l2 - l4 * l4 - l6 * l6
-
-    def vertices(self):
-        """Developed corner chain (may repeat points at zero-length sides)."""
-        x, y = 0, 0
-        pts = []
-        for ln, (dx, dy) in zip(self.lengths, _DIRS):
-            pts.append((x, y))
-            x, y = x + ln * dx, y + ln * dy
-        if (x, y) != (0, 0):
-            raise AssertionError("developed hexagon does not close")
-        return pts
-
-    def shoelace_triangle_units(self):
-        """Independent area computation from the developed vertex chain."""
-        pts = self.vertices()
-        total = 0
-        for i in range(6):
-            px, py = pts[i]
-            qx, qy = pts[(i + 1) % 6]
-            total += px * qy - py * qx
-        return total
-
-
-def special_hexagon_area(h: SpecialHexagon) -> float:
-    """Euclidean area; exact rational multiples of sqrt(3) stay exact upstream."""
-    return h.triangle_units() * sqrt(3) / 4
 
 
 def enumerate_lattice_special_hexagons(perimeter_max: int):

@@ -147,12 +147,6 @@ def approximant(zeta: QuadraticSurd, min_denominator: int, walk: _Walk | None = 
     return Fraction(walk.h, walk.k)
 
 
-def convergents(zeta: QuadraticSurd, count: int) -> list[Fraction]:
-    """The first `count` nonzero convergents; for the golden aspect the n-th
-    (1-based) is the Fibonacci ratio a_n / a_{n+1}."""
-    return [Fraction(h, k) for h, k, _ in islice(_convergents(periodic_cf_of_surd(zeta)), count)]
-
-
 def _check_unit_zeta(zeta: QuadraticSurd) -> None:
     if zeta.is_rational() or not (QuadraticSurd(Fraction(0), Fraction(0), 1) < zeta < 1):
         raise DomainError("zeta must be a quadratic irrational in (0, 1)")

@@ -369,12 +369,6 @@ class _Dfs:
 # enumeration
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    colorings: tuple[FaceColoring, ...]
-    truncated: bool
-
-
 def iter_good_colorings(c: QuotientComplex):
     """Every good coloring exactly once, deterministic order, both colors.
 
@@ -386,17 +380,6 @@ def iter_good_colorings(c: QuotientComplex):
         col = FaceColoring(c, cols)
         yield col
         yield col.swapped()
-
-
-def enumerate_good_colorings(c: QuotientComplex, cap: int | None = None) -> EnumerationResult:
-    out = []
-    truncated = False
-    for col in iter_good_colorings(c):
-        if cap is not None and len(out) >= cap:
-            truncated = True
-            break
-        out.append(col)
-    return EnumerationResult(tuple(out), truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, islice, product
 
 from .eisenstein import DomainError, EisensteinInt, canonical
@@ -109,30 +107,6 @@ def columns(corners, s: int, t: int, open_sides=()):
             yield a, lo, hi
 
 
-@dataclass(frozen=True, slots=True)
-class PlaneTriangleId:
-    """One unit triangle of the planar equilateral triangulation."""
-
-    anchor: EisensteinInt
-    orientation: int  # UP or DOWN
-
-    def vertices(self) -> tuple[EisensteinInt, EisensteinInt, EisensteinInt]:
-        a, b = self.anchor.a, self.anchor.b
-        return tuple(EisensteinInt(a + da, b + db) for da, db in CORNERS[self.orientation])
-
-    def centroid_tripled(self) -> tuple[int, int]:
-        a, b = self.anchor.a, self.anchor.b
-        if self.orientation == UP:
-            return (3 * a + 1, 3 * b + 1)
-        return (3 * a + 2, 3 * b + 2)
-
-
-@dataclass(frozen=True, slots=True)
-class VertexOrbit:
-    point: EisensteinInt  # representative lattice point, reduced
-    degree: int
-
-
 class QuotientComplex:
     """Faces, edge pairings, and vertex orbits of the quotient sphere.
 
@@ -147,14 +121,11 @@ class QuotientComplex:
     and orientation (a, b, o), `_vpoints` and `degrees` vertex v's reduced
     representative point and degree, `face_vertices` the ccw corners of
     each face and `pairing` one tuple row of three (face, side) pairs per
-    face.  `faces` and `vertices` are the same data as `PlaneTriangleId`
-    and `VertexOrbit` objects, built on first access; no method here reads
-    them.
+    face.
 
-    Immutable after construction, apart from those two views and the
-    vertex -> (face, corner) start index that the first `vertex_star` call
-    fills in; safe to share across concurrent readers (racing readers
-    build equal values).
+    Immutable after construction, apart from the vertex -> (face, corner)
+    start index that the first `vertex_star` call fills in; safe to share
+    across concurrent readers (racing readers build equal values).
     """
 
     _star_starts: list[tuple[int, int]] | None = None
@@ -323,19 +294,6 @@ class QuotientComplex:
         if flat[:3] != [2, 2, 2] or any(d != 6 for d in flat[3:]):
             raise AssertionError(f"unexpected degree multiset {flat}")
 
-    @cached_property
-    def faces(self) -> list[PlaneTriangleId]:
-        """Each face's canonical plane triangle, built on first access."""
-        return [PlaneTriangleId(EisensteinInt(a, b), o) for a, b, o in self._tris]
-
-    @cached_property
-    def vertices(self) -> list[VertexOrbit]:
-        """Each vertex's reduced representative point and degree, built on first access."""
-        return [
-            VertexOrbit(EisensteinInt(x, y), d)
-            for (x, y), d in zip(self._vpoints, self.degrees)
-        ]
-
     # -- queries -----------------------------------------------------------
 
     def face_at(self, a: int, b: int, o: int) -> int:
@@ -364,17 +322,6 @@ class QuotientComplex:
                 if t >= step:
                     t -= step
         return out
-
-    def lift(self, face: int) -> PlaneTriangleId:
-        """The canonical planar representative of a face (section of project)."""
-        if not 0 <= face < self.face_count:
-            raise DomainError(f"no such face {face}")
-        a, b, o = self._tris[face]
-        return PlaneTriangleId(EisensteinInt(a, b), o)
-
-    def project(self, tri: PlaneTriangleId) -> int:
-        """Face index of any planar triangle's orbit; constant on orbits."""
-        return self.face_at(tri.anchor.a, tri.anchor.b, tri.orientation)
 
     def degree_sequence(self) -> list[int]:
         return sorted(self.degrees)
@@ -412,15 +359,6 @@ class QuotientComplex:
             raise AssertionError("star length disagrees with degree")
         return cycle
 
-    def edges(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Each glued side pair once, as ((f, s), (f2, s2)) with (f, s) minimal."""
-        out = []
-        for f, row in enumerate(self.pairing):
-            for s, (f2, s2) in enumerate(row):
-                if (f, s) < (f2, s2):
-                    out.append(((f, s), (f2, s2)))
-        return out
-
     def to_json_dict(self) -> dict:
         from .jsonio import jint
 
@@ -453,6 +391,3 @@ def build_complex(beta: EisensteinInt) -> QuotientComplex:
     """Quotient triangulation for any nonzero beta (primitivity not required)."""
     return QuotientComplex(beta)
 
-
-def degree_sequence(c: QuotientComplex) -> list[int]:
-    return c.degree_sequence()

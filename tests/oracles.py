@@ -1,9 +1,12 @@
-"""Reference implementations that tests compare the library against."""
+"""Reference implementations that tests compare the library against, and
+the small helpers that only tests need."""
 
 import time
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, sqrt
 
 from eisenfold.coloring import (
     DevelopmentError,
@@ -17,12 +20,12 @@ from eisenfold.coloring import (
 from eisenfold.eisenstein import (
     DomainError,
     EisensteinInt,
-    _check_unit_interval,
     canonical,
     is_primitive,
     slow_gauss,
 )
 from eisenfold.flower import (
+    _maximal_runs,
     BLACK,
     WHITE,
     CappedFlower,
@@ -32,19 +35,59 @@ from eisenfold.flower import (
     cf_face_count,
     cf_fold_count,
 )
+from eisenfold.isoperimetric import SpecialHexagon
+from eisenfold.limits import _convergents
 from eisenfold.render import _FILL, _xy
-from eisenfold.search import IeSweepReport
+from eisenfold.search import IeSweepReport, iter_good_colorings
+from eisenfold.surd import QuadraticSurd, periodic_cf_of_surd
 from eisenfold.surface import (
     CELL_OPEN_SIDES,
     CORNERS,
     DOWN,
     NEIGHBOR,
     UP,
-    PlaneTriangleId,
     QuotientComplex,
     cell,
     columns,
 )
+
+
+# ---------------------------------------------------------------------------
+# Plane triangles as objects.  The library names a face by the row (a, b, o)
+# of `QuotientComplex._tris` and finds the face of any plane triangle with
+# `face_at`.
+
+
+@dataclass(frozen=True, slots=True)
+class PlaneTriangleId:
+    """One unit triangle of the planar equilateral triangulation."""
+
+    anchor: EisensteinInt
+    orientation: int  # UP or DOWN
+
+    def centroid_tripled(self) -> tuple[int, int]:
+        a, b = self.anchor.a, self.anchor.b
+        if self.orientation == UP:
+            return (3 * a + 1, 3 * b + 1)
+        return (3 * a + 2, 3 * b + 2)
+
+
+def lift(c: QuotientComplex, face: int) -> PlaneTriangleId:
+    """The canonical planar representative of a face (section of project)."""
+    if not 0 <= face < c.face_count:
+        raise DomainError(f"no such face {face}")
+    a, b, o = c._tris[face]
+    return PlaneTriangleId(EisensteinInt(a, b), o)
+
+
+def project(c: QuotientComplex, tri: PlaneTriangleId) -> int:
+    """Face index of any planar triangle's orbit; constant on orbits."""
+    return c.face_at(tri.anchor.a, tri.anchor.b, tri.orientation)
+
+
+# ---------------------------------------------------------------------------
+# Good colorings: every 2^F coloring filtered by the goodness predicate, and
+# a capped list of the library's DFS enumeration.
 
 
 def brute_force_good_colorings(c: QuotientComplex) -> list[FaceColoring]:
@@ -60,6 +103,19 @@ def brute_force_good_colorings(c: QuotientComplex) -> list[FaceColoring]:
         if is_good(col).good:
             out.append(col)
     return out
+
+
+@dataclass(frozen=True)
+class EnumerationResult:
+    colorings: tuple[FaceColoring, ...]
+    truncated: bool
+
+
+def enumerate_good_colorings(c: QuotientComplex, cap: int | None = None) -> EnumerationResult:
+    """The first `cap` colorings of `iter_good_colorings`, or all of them."""
+    out = list(islice(iter_good_colorings(c), None if cap is None else cap + 1))
+    truncated = cap is not None and len(out) > cap
+    return EnumerationResult(tuple(out[:cap]), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +158,7 @@ class ReferenceDfs:
         c = tables.c
         self.corners = [tuple(Counter(ids).items()) for ids in c.face_vertices]
         self.colors = [-1] * tables.F
-        self.u = [v.degree for v in c.vertices]
+        self.u = list(c.degrees)
         self.x = [0] * c.vertex_count
         self.nb = 0
         self.nw = 0
@@ -242,6 +298,13 @@ def reference_expand_prefixes(tables, depth: int) -> list[str]:
 # them by the Euclidean algorithm (`continued_fraction_euclid`).
 
 
+def _check_unit_interval(r: Fraction, *, allow_one: bool) -> None:
+    if r <= 0:
+        raise DomainError(f"{r} is not positive")
+    if r > 1 or (r == 1 and not allow_one):
+        raise DomainError(f"{r} is outside the domain")
+
+
 def g_sequence(r: Fraction) -> list[Fraction]:
     """The slow-Gauss orbit of r down to 1/1, listed in reverse.
 
@@ -300,6 +363,31 @@ def continued_fraction(r: Fraction) -> list[int]:
             return quotients
         quotients.append(comparison_exponent(cur))
         cur = gauss_star(cur)
+
+
+def evaluate_continued_fraction(terms: list[int]) -> Fraction:
+    """The rational [a0; a1, ..., am], evaluated from the last term up."""
+    value = Fraction(terms[-1])
+    for t in reversed(terms[:-1]):
+        value = t + 1 / value
+    return value
+
+
+def tree_children(r: Fraction) -> tuple[Fraction, Fraction]:
+    """Children a/(a+b) and b/(a+b) of r = a/b in the rational tree.
+
+    slow_gauss of either child returns r; the root 1/1 has the collapsed
+    single child 1/2 (returned twice).
+    """
+    _check_unit_interval(r, allow_one=True)
+    a, b = r.numerator, r.denominator
+    return Fraction(a, a + b), Fraction(b, a + b)
+
+
+def convergents(zeta: QuadraticSurd, count: int) -> list[Fraction]:
+    """The first `count` nonzero convergents of the library's walk; for the
+    golden aspect the n-th (1-based) is the Fibonacci ratio a_n / a_{n+1}."""
+    return [Fraction(h, k) for h, k, _ in islice(_convergents(periodic_cf_of_surd(zeta)), count)]
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +455,76 @@ def color_at(cf: CappedFlower, tri: PlaneTriangleId) -> int:
     """Color of any plane triangle under the tiled coloring (total map)."""
     cx, cy = tri.centroid_tripled()
     return classify(cf, cx, cy)
+
+
+# ---------------------------------------------------------------------------
+# Counts read off the capped flower's regions and necklaces, for comparison
+# with the norm of beta and the continued fraction of its aspect.
+
+
+def triangle_count(cf: CappedFlower) -> int:
+    """Unit triangles the flower's regions cover, by the shoelace formula.
+
+    In the (1, alpha) basis a unit triangle has doubled area 1, so a quad
+    in tripled coordinates covers its doubled area / 9 triangles; a fill
+    region is one triangle.
+    """
+    total = 0
+    for kind, data, _ in cf.regions():
+        if kind == "fill":
+            total += 9
+            continue
+        total += sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(data, data[1:] + data[:1]))
+    count, rest = divmod(total, 9)
+    if rest:
+        raise AssertionError(f"regions cover {total}/9 triangles")
+    return count
+
+
+def stripe_counts(cf: CappedFlower) -> list[int]:
+    """Stripe counts of the maximal trapezoids, outermost run first.
+
+    They equal the continued-fraction partial quotients of the flower's
+    aspect.
+    """
+    return [last - first + 1 for first, last in _maximal_runs(cf.necklaces)]
+
+
+# ---------------------------------------------------------------------------
+# Special hexagons by a second area formula: the shoelace sum over the
+# developed corner chain.  The library cuts corners off a triangle
+# (`SpecialHexagon.triangle_units`).
+
+# unit hexagon-walk directions in the (1, alpha) basis, 60 degrees apart
+_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def hexagon_vertices(h: SpecialHexagon) -> list[tuple[int, int]]:
+    """Developed corner chain (may repeat points at zero-length sides)."""
+    x, y = 0, 0
+    pts = []
+    for ln, (dx, dy) in zip(h.lengths, _DIRS):
+        pts.append((x, y))
+        x, y = x + ln * dx, y + ln * dy
+    if (x, y) != (0, 0):
+        raise AssertionError("developed hexagon does not close")
+    return pts
+
+
+def shoelace_triangle_units(h: SpecialHexagon) -> int:
+    """Doubled area of the developed corner chain, in unit triangles."""
+    pts = hexagon_vertices(h)
+    total = 0
+    for i in range(6):
+        px, py = pts[i]
+        qx, qy = pts[(i + 1) % 6]
+        total += px * qy - py * qx
+    return total
+
+
+def special_hexagon_area(h: SpecialHexagon) -> float:
+    """Euclidean area, as a float: triangle units times sqrt(3)/4."""
+    return h.triangle_units() * sqrt(3) / 4
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +786,7 @@ def reference_monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
 def _reference_develop(c: QuotientComplex, colors, region: frozenset[int]):
     face_at = c.face_at
     seed = min(region)
-    t0 = c.lift(seed)
+    t0 = lift(c, seed)
     placed: dict[int, tuple[tuple[int, int], int]] = {
         seed: ((t0.anchor.a, t0.anchor.b), t0.orientation)
     }

@@ -30,6 +30,7 @@ from eisenfold.search import swappable_vertices, vertex_swap
 from eisenfold.surface import build_complex
 from oracles import (
     color_at,
+    lift,
     parity,
     reference_is_good,
     reference_monochrome_regions,
@@ -96,7 +97,7 @@ def test_painting_agrees_with_color_at_exhaustively_b_le_13():
             col = continued_fraction_coloring(be, c)
             cf = capped_flower(be)
             for f in range(c.face_count):
-                assert col.colors[f] == color_at(cf, c.lift(f))
+                assert col.colors[f] == color_at(cf, lift(c, f))
 
 
 def test_convention_independence_b_le_21():
@@ -121,7 +122,7 @@ def test_is_good_reports_violations():
     rep = is_good(all_black(c))
     assert not rep.good
     # exactly the three degree-2 vertices break all-black
-    assert all(c.vertices[v].degree == 2 for v in rep.violations)
+    assert all(c.degrees[v] == 2 for v in rep.violations)
     assert len(rep.violations) == 3
 
 

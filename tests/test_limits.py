@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eisenfold.eisenstein import DomainError, continued_fraction_euclid, evaluate_continued_fraction
+from eisenfold.eisenstein import DomainError, continued_fraction_euclid
 from eisenfold.flower import cf_face_count, cf_fold_count
 from eisenfold.limits import (
     UndeterminedError,
@@ -13,7 +13,6 @@ from eisenfold.limits import (
     _convergents,
     _detect_period,
     approximant,
-    convergents,
     eta_limit_numeric,
     eta_of_approximant,
     fib_face_count,
@@ -24,6 +23,7 @@ from eisenfold.limits import (
     sqrt_zeta,
 )
 from eisenfold.surd import QuadraticSurd, periodic_cf_of_surd
+from oracles import convergents, evaluate_continued_fraction
 
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
@@ -253,6 +253,25 @@ def test_eta_limit_sqrt_family(n, expected):
 def test_eta_limit_undetermined_when_schedule_too_shallow():
     with pytest.raises(UndeterminedError):
         eta_limit_numeric(sqrt_zeta(7), depth_schedule=((40, 60),))
+
+
+# A custom schedule can be fooled.  At each rung below the trimmed common
+# prefix ends in three or more 1s, so the period (1) passes the three-repeat
+# rule, reconstructs inside Q(sqrt 5) and regenerates the prefix.  The
+# default schedule finds the true limit of both, as `LIMIT_PINS` records.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="a prefix ending in a run of 1s passes as period (1)"
+)
+@pytest.mark.parametrize("text, schedule, limit", [
+    ("sqrt:5", ((35, 40),), (Fraction(321, 19), Fraction(137, 19), 5)),
+    ("sqrt:20", ((17, 18),), (Fraction(3009, 109), Fraction(355, 109), 5)),
+])
+def test_eta_limit_under_custom_depths_is_undetermined_or_true(text, schedule, limit):
+    try:
+        res = eta_limit_numeric(parse_zeta(text), schedule)
+    except UndeterminedError:
+        return
+    assert res.surd == QuadraticSurd(*limit)
 
 
 def test_eta_limit_rejects_rationals():

@@ -19,7 +19,6 @@ from eisenfold.flower import BLACK, WHITE, cf_eta
 from eisenfold.search import (
     SearchBudget,
     SwapError,
-    enumerate_good_colorings,
     ie_sweep,
     iter_good_colorings,
     min_fold_search,
@@ -41,6 +40,7 @@ from oracles import (
     ReferenceBudget,
     ReferenceDfs,
     brute_force_good_colorings,
+    enumerate_good_colorings,
     reference_expand_prefixes,
     reference_ie_sweep,
 )
@@ -80,7 +80,7 @@ def test_enumeration_cap():
 def test_vertex_swap_on_alternating():
     c = build_complex(EisensteinInt(2, 3))
     col = alternating_coloring(c)
-    v = next(v for v in range(c.vertex_count) if c.vertices[v].degree == 6)
+    v = next(v for v in range(c.vertex_count) if c.degrees[v] == 6)
     swapped = vertex_swap(col, v)
     assert is_good(swapped).good
     assert vertex_swap(swapped, v).colors == col.colors  # involution
@@ -96,7 +96,7 @@ def test_vertex_swap_inapplicable():
         except SwapError:
             bad.append(v)
     assert bad  # the continued-fraction coloring has non-alternating stars
-    deg2 = next(v for v in range(c.vertex_count) if c.vertices[v].degree == 2)
+    deg2 = next(v for v in range(c.vertex_count) if c.degrees[v] == 2)
     with pytest.raises(SwapError):
         vertex_swap(col, deg2)
 
@@ -106,7 +106,7 @@ def _swappable_by_scan(col):
     c = col.complex
     out = []
     for v in range(c.vertex_count):
-        if c.vertices[v].degree != 6:
+        if c.degrees[v] != 6:
             continue
         star = c.vertex_star(v)
         ring = [col.colors[f] for f in star]

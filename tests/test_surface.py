@@ -13,13 +13,10 @@ from eisenfold.surface import (
     DOWN,
     NEIGHBOR,
     UP,
-    PlaneTriangleId,
-    VertexOrbit,
     build_complex,
     columns,
-    degree_sequence,
 )
-from oracles import divmod_build
+from oracles import PlaneTriangleId, divmod_build, lift, project
 
 
 def plane_neighbor(anchor: tuple[int, int], orientation: int, side: int):
@@ -77,7 +74,7 @@ def test_taco():
     c = build_complex(EisensteinInt(1, 0))
     assert c.face_count == 2
     assert c.vertex_count == 3
-    assert degree_sequence(c) == [2, 2, 2]
+    assert c.degree_sequence() == [2, 2, 2]
 
 
 @pytest.mark.parametrize(
@@ -92,9 +89,9 @@ def test_face_counts(beta, F):
 
 def test_degree_sequences():
     c = build_complex(EisensteinInt(1, 2))
-    assert degree_sequence(c) == [2, 2, 2] + [6] * 6
+    assert c.degree_sequence() == [2, 2, 2] + [6] * 6
     c = build_complex(EisensteinInt(8, 13))
-    seq = degree_sequence(c)
+    seq = c.degree_sequence()
     assert seq[:3] == [2, 2, 2]
     assert len(seq) == 339 and all(d == 6 for d in seq[3:])
     assert sum(6 - d for d in seq if d != 6) == 12
@@ -124,44 +121,47 @@ def test_euler_formula_and_structure_small_sweep():
             E = 3 * F // 2
             assert F == 2 * (a * a + a * b + b * b)
             assert V - E + F == 2
-            assert len(c.edges()) == E
+            # each glued side pair once, from its lesser side
+            assert sum((f, s) < pair for f, row in enumerate(c.pairing)
+                       for s, pair in enumerate(row)) == E
 
 
 def test_project_section_and_invariance():
     c = build_complex(EisensteinInt(2, 3))
     for f in range(c.face_count):
-        assert c.project(c.lift(f)) == f
+        assert project(c, lift(c, f)) == f
     # translation invariance along delta*E and rotation invariance
     d = c.delta
     om = EisensteinInt(-1, 1)
     for f in range(0, c.face_count, 3):
-        t = c.lift(f)
+        t = lift(c, f)
         shifted = PlaneTriangleId(t.anchor + d, t.orientation)
-        assert c.project(shifted) == f
+        assert project(c, shifted) == f
         za = om * t.anchor
         if t.orientation == UP:
             rot = PlaneTriangleId(za - EisensteinInt(1, 0), UP)
         else:
             rot = PlaneTriangleId(za - EisensteinInt(2, 0), DOWN)
-        assert c.project(rot) == f
+        assert project(c, rot) == f
 
 
 def test_lift_rejects_faces_out_of_range():
     c = build_complex(EisensteinInt(2, 3))
-    assert c.lift(c.face_count - 1) == c.faces[-1]
+    a, b, o = c._tris[-1]
+    assert lift(c, c.face_count - 1) == PlaneTriangleId(EisensteinInt(a, b), o)
     for f in (-1, c.face_count, 10**6):
         with pytest.raises(DomainError):
-            c.lift(f)
+            lift(c, f)
 
 
 def test_pairing_respects_planar_adjacency():
     c = build_complex(EisensteinInt(1, 3))
     for f in range(c.face_count):
-        t = c.lift(f)
+        t = lift(c, f)
         for s in range(3):
             (na, nb), no, _ = plane_neighbor((t.anchor.a, t.anchor.b), t.orientation, s)
             neighbor = PlaneTriangleId(EisensteinInt(na, nb), no)
-            assert c.project(neighbor) == c.pairing[f][s][0]
+            assert project(c, neighbor) == c.pairing[f][s][0]
 
 
 def test_pairing_is_free_involution():
@@ -176,7 +176,7 @@ def test_vertex_star_cycles():
     c = build_complex(EisensteinInt(2, 3))
     for v in range(c.vertex_count):
         star = c.vertex_star(v)
-        assert len(star) == c.vertices[v].degree
+        assert len(star) == c.degrees[v]
         # every star face is incident to v
         for f in star:
             assert v in c.face_vertices[f]
@@ -196,8 +196,8 @@ def _vertex_star_by_scan(c, v):
         f, k = f2, k2
         if (f, k) == start:
             break
-        assert len(cycle) <= c.vertices[v].degree, "vertex star does not close up"
-    assert len(cycle) == c.vertices[v].degree
+        assert len(cycle) <= c.degrees[v], "vertex star does not close up"
+    assert len(cycle) == c.degrees[v]
     return cycle
 
 
@@ -215,7 +215,7 @@ def test_vertex_star_matches_face_scan(beta):
 def test_non_primitive_beta_supported():
     c = build_complex(EisensteinInt(0, 2))  # 2*alpha, canonical (0, 2)
     assert c.face_count == 8
-    assert degree_sequence(c) == [2, 2, 2, 6, 6, 6]
+    assert c.degree_sequence() == [2, 2, 2, 6, 6, 6]
 
 
 def test_json_shape_and_determinism():
@@ -301,14 +301,14 @@ def test_face_at_matches_reduction_oracle(beta, h2):
     c = build_complex(EisensteinInt(*beta))
     assert c._h2 == h2 and c._h1 * c._h2 == c.delta.norm()
     face, reps = _face_map_by_reduction(c)
-    assert [(t.anchor.a, t.anchor.b, t.orientation) for t in c.faces] == reps
+    assert c._tris == reps
     rng = random.Random(0)
     R = 3 * (abs(c.delta.a) + abs(c.delta.b)) + 4
     for _ in range(2000):
         a, b, o = rng.randint(-R, R), rng.randint(-R, R), rng.randint(0, 1)
         f = face(a, b, o)
         assert c.face_at(a, b, o) == f
-        assert c.project(PlaneTriangleId(EisensteinInt(a, b), o)) == f
+        assert project(c, PlaneTriangleId(EisensteinInt(a, b), o)) == f
 
 
 def _build_by_box_scan(beta: EisensteinInt) -> dict:
@@ -399,10 +399,10 @@ def _build_by_box_scan(beta: EisensteinInt) -> dict:
             degrees[v] += 1
             ids.append(v)
         face_vertices.append(tuple(ids))
-    vertices = [VertexOrbit(EisensteinInt(*p), degrees[i]) for i, p in enumerate(vpoints)]
     return {
-        "faces": faces, "pairing": pairing, "face_vertices": face_vertices,
-        "vertices": vertices, "degrees": degrees,
+        "_tris": [(t.anchor.a, t.anchor.b, t.orientation) for t in faces],
+        "pairing": pairing, "face_vertices": face_vertices,
+        "_vpoints": vpoints, "degrees": degrees,
         "_face_of": face_of, "_h1": h1, "_h2": h2, "_va": va,
     }
 
@@ -441,7 +441,7 @@ def test_golden_sequence_leaves_no_per_face_objects():
     # The build, the coloring and every certificate of `eisenfold build`,
     # `color` and `render` read the flat tables: afterwards the complex holds
     # no per-face object that the cyclic garbage collector must trace, and
-    # its `faces` / `vertices` views were never built.
+    # no `faces` / `vertices` list of objects.
     beta = EisensteinInt(13, 21)
     c = build_complex(beta)
     jsonio.dumps(c.to_json_dict())
