@@ -79,6 +79,14 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
     (3a + 1 + o, 3b + 1 + o) it contains, listed by `columns`; no centroid
     lies on a region's boundary, so every side is closed.  Each column's
     faces come from `QuotientComplex.column_faces`.
+
+    A quad is painted as itself or as its turn about 0 by alpha^2 or
+    alpha^4, (x, y) -> (-x - y, x) in tripled coordinates, whichever has
+    the least x-extent (the earliest on a tie): the fewest columns, so a
+    long thin trapezoid is scanned along its length.  The turn is in the
+    quotient's symmetry group and keeps orientation, so each turned
+    triangle is a copy of the same face and every face's hit counts, hence
+    the colors and the audit, are unchanged.
     """
     F = c.face_count
     hits = {WHITE: [0] * F, BLACK: [0] * F}  # times each face is painted each color
@@ -89,8 +97,13 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
             o = UP if x % 3 == 1 else DOWN  # tripled centroid 3z + (1 + o)(1 + alpha)
             painted[c.face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o)] += 1
             continue
+        turned = [(-x - y, x) for x, y in data]
+        quad = min(
+            (data, turned, [(-x - y, x) for x, y in turned]),
+            key=lambda q: max(x for x, _ in q) - min(x for x, _ in q),
+        )
         for o in (UP, DOWN):
-            for a, lo, hi in columns(data, 3, 1 + o):
+            for a, lo, hi in columns(quad, 3, 1 + o):
                 for f in c.column_faces(a, lo, hi, o):
                     painted[f] += 1
     white, black = hits[WHITE], hits[BLACK]
@@ -168,6 +181,12 @@ _PARITY = {
     for p in permutations(range(4))
 }
 
+# _THIRD[(p, q, t)]: the color k for which (k, p, q) has parity t.  An
+# improper pair p == q gets p back, which no proper face can take, so the
+# final per-face check of vertex_four_coloring rejects it.
+_THIRD = {(p, q, t): k for (k, p, q), t in _PARITY.items()}
+_THIRD.update({(p, p, t): p for p in range(4) for t in (1, -1)})
+
 
 def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) -> list[int]:
     """Proper vertex 4-coloring whose orientation classes reproduce col.
@@ -194,10 +213,10 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
     vcolor[v0] = base_color
     vcolor[v1] = (base_color + 1) % 4
 
-    # BFS over faces; a face with one uncolored corner gets the smaller of
-    # the two unused colors, or the other if the orientation parity
-    # disagrees.  Rotating the corners so the missing one comes first is a
-    # 3-cycle and keeps the parity.  The final loop checks every face.
+    # BFS over faces; a face with one uncolored corner gets the unused
+    # color of its orientation parity from _THIRD.  Rotating the corners so
+    # the missing one comes first is a 3-cycle and keeps the parity.  The
+    # final loop checks every face.
     face_vertices = c.face_vertices
     seen = [False] * c.face_count
     seen[f0] = True
@@ -207,10 +226,7 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
         x, y, z = vcolor[a], vcolor[b], vcolor[cc]
         if (x < 0) + (y < 0) + (z < 0) == 1:
             v, p, q = (a, y, z) if x < 0 else (b, z, x) if y < 0 else (cc, x, y)
-            k = min({0, 1, 2, 3} - {p, q})
-            if _PARITY.get((k, p, q)) != target[f]:
-                k = 6 - p - q - k  # the other unused color
-            vcolor[v] = k
+            vcolor[v] = _THIRD[(p, q, target[f])]
         for f2, _ in c.pairing[f]:
             if not seen[f2]:
                 seen[f2] = True
@@ -239,6 +255,24 @@ def induced_face_coloring(c: QuotientComplex, vcolor: list[int]) -> FaceColoring
 # Monochrome regions
 
 
+# _SIDES[o][k]: for a face placed as a plane triangle of orientation o whose
+# plane side s is its side (s + k) % 3, one row per plane side s:
+# (da, db, ns, face side, ua, ub, va, vb).  The neighbour across it is
+# anchored da, db away and meets it along its plane side ns; the side runs
+# from the corner (ua, ub) to the corner (va, vb), both offsets from the
+# anchor.
+_SIDES = tuple(
+    tuple(
+        tuple(
+            (da, db, ns, (s + k) % 3, *CORNERS[o][s], *CORNERS[o][(s + 1) % 3])
+            for s, (da, db, _, ns) in enumerate(NEIGHBOR[o])
+        )
+        for k in range(3)
+    )
+    for o in (UP, DOWN)
+)
+
+
 @dataclass(frozen=True)
 class MonochromeRegion:
     color: int
@@ -258,14 +292,21 @@ def monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
     canonical anchor, finds, measures and places the region: a side to a
     face of the same color places that face (or checks its earlier spot),
     a side to the other color is one boundary side and one directed edge
-    of the polygon.  A spot holds the one face face_at gives it, so two
-    faces never share a spot.  Regions come out in order of least face.
+    of the polygon.  Regions come out in order of least face.
+
+    Sides are crossed through `c.pairing`.  Each placed face keeps its
+    rotation shift k, so that its plane side s is its side (s + k) % 3,
+    and the neighbour met along its side s2 at plane side ns has shift
+    (s2 - ns) % 3.  The pairing agrees with face_at, which
+    test_pairing_respects_planar_adjacency checks, so a spot holds the one
+    face that face_at gives it and two faces never share a spot.
     """
     c = col.complex
     colors = col.colors
     tris = c._tris
-    face_at = c.face_at
+    pairing = c.pairing
     spot: list[tuple[int, int] | None] = [None] * c.face_count  # placed anchor
+    shift = bytearray(c.face_count)  # placed rotation shift k
     out = []
     for seed, (a, b, _) in enumerate(tris):
         if spot[seed] is not None:
@@ -276,17 +317,16 @@ def monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
         edges = []  # boundary sides, ccw, as (start, end) plane points
         for f in queue:
             a, b = spot[f]
-            o = tris[f][2]
-            for s, (da, db, no, _) in enumerate(NEIGHBOR[o]):
-                na, nb = a + da, b + db
-                f2 = face_at(na, nb, no)
+            row = pairing[f]
+            for da, db, ns, fs, ua, ub, va, vb in _SIDES[tris[f][2]][shift[f]]:
+                f2, s2 = row[fs]
                 if colors[f2] != color:
-                    (ua, ub), (va, vb) = CORNERS[o][s], CORNERS[o][(s + 1) % 3]
                     edges.append(((a + ua, b + ub), (a + va, b + vb)))
                 elif spot[f2] is None:
-                    spot[f2] = (na, nb)
+                    spot[f2] = (a + da, b + db)
+                    shift[f2] = (s2 - ns) % 3
                     queue.append(f2)
-                elif spot[f2] != (na, nb):
+                elif spot[f2] != (a + da, b + db):
                     raise DevelopmentError("region does not embed in the plane")
 
         directed = dict(edges)

@@ -13,9 +13,10 @@ Every torus point has an integer index.  With the Hermite basis (h1, 0),
 index (b mod h2)*h1 + (a - floor(b/h2)*va) mod h1, so a plane triangle
 (a, b, orientation o) sits at torus face 2*index + o.  One flat table over
 these 2*norm(delta) slots gives each plane triangle's quotient face
-(`QuotientComplex.face_at`); building the complex, painting a coloring,
-developing its regions and rendering all look faces up there, and cross
-sides and find corners through the constant tables `NEIGHBOR` and `CORNERS`.
+(`QuotientComplex.face_at`); building the complex, painting a coloring and
+rendering look faces up there, developing a coloring's regions reads them
+from the edge pairing, and all of them cross sides and find corners
+through the constant tables `NEIGHBOR` and `CORNERS`.
 
 The index i = j*h1 + x of the point x + j*alpha (0 <= x < h1, 0 <= j < h2)
 moves by unit steps without a divmod.  A step by +-1 stays in its row and

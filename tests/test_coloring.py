@@ -6,12 +6,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from eisenfold import coloring
 from eisenfold.eisenstein import EisensteinInt, DomainError
 from eisenfold.coloring import (
     _PARITY,
     DevelopmentError,
     FaceColoring,
     GoodnessError,
+    GoodnessReport,
     alternating_coloring,
     color_balance,
     continued_fraction_coloring,
@@ -27,7 +29,7 @@ from eisenfold.coloring import (
 )
 from eisenfold.flower import BLACK, WHITE, capped_flower, cf_fold_count
 from eisenfold.search import swappable_vertices, vertex_swap
-from eisenfold.surface import build_complex
+from eisenfold.surface import QuotientComplex, build_complex
 from oracles import (
     color_at,
     lift,
@@ -224,6 +226,20 @@ def test_bad_colorings_fail_like_the_reference(beta):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("beta", [(1, 2), (2, 3), (3, 5), (4, 7)])
+def test_four_coloring_of_a_bad_coloring_past_the_goodness_gate_fails_its_face_check(
+    beta, monkeypatch
+):
+    # with is_good forced to pass, the propagation meets faces whose known
+    # corners clash; the final per-face check still rejects the result
+    c = build_complex(EisensteinInt(*beta))
+    good = continued_fraction_coloring(EisensteinInt(*beta), c)
+    monkeypatch.setattr(coloring, "is_good", lambda col: GoodnessReport(True, (), True))
+    for col in (all_black(c), good.flipped([0]), good.flipped(range(0, c.face_count, 5))):
+        with pytest.raises(GoodnessError, match="verification failed at face"):
+            vertex_four_coloring(col)
+
+
 def _swap_walk(col, steps, seed):
     """The colorings met on a seeded random walk of star swaps from col."""
     rng = random.Random(seed)
@@ -244,6 +260,9 @@ def _region_cases():
         yield alternating_coloring(c)
     for beta in [(0, 5), (2, 4), (3, 3)]:
         yield alternating_coloring(build_complex(EisensteinInt(*beta)))
+    # thin beta: long thin regions, whose faces are placed at every shift
+    for beta in [(1, 30), (2, 45)]:
+        yield continued_fraction_coloring(EisensteinInt(*beta))
     for beta in [(8, 13), (0, 5)]:
         yield from _swap_walk(alternating_coloring(build_complex(EisensteinInt(*beta))), 60, 10)
 
@@ -253,7 +272,7 @@ def test_monochrome_regions_match_the_reference():
     for col in _region_cases():
         assert monochrome_regions(col) == reference_monochrome_regions(col)
         cases += 1
-    assert cases == 2 * len(_PRIMITIVE_NORM_150) + 3 + 2 * 61
+    assert cases == 2 * len(_PRIMITIVE_NORM_150) + 3 + 2 + 2 * 61
 
 
 @pytest.mark.parametrize("beta", [(1, 2), (2, 3), (3, 5), (4, 7)])
@@ -435,3 +454,29 @@ def test_paint_audit_fires_when_a_quad_changes_color():
 
     with pytest.raises(AssertionError, match="inconsistent paint on face"):
         paint_from_flower(SimpleNamespace(regions=regions), build_complex(be))
+
+
+# (beta, columns): thin quads are painted along their length, so (3,125)
+# takes 1,536 columns where scanning each quad as given took 22,208, and
+# (1,77) 924 where it took 24,332; golden (55,89) takes 2,040 for 2,952
+@pytest.mark.parametrize("beta, cols", [((3, 125), 1536), ((1, 77), 924), ((55, 89), 2040)])
+def test_paint_takes_few_columns_and_paints_each_face_three_times(beta, cols, monkeypatch):
+    c = build_complex(EisensteinInt(*beta))
+    cf = capped_flower(c.beta)
+    counts = {"columns": 0, "triangles": 0, "fills": 0}
+    column_faces, face_at = QuotientComplex.column_faces, QuotientComplex.face_at
+
+    def counted_column_faces(self, a, lo, hi, o):
+        counts["columns"] += 1
+        counts["triangles"] += hi - lo + 1
+        return column_faces(self, a, lo, hi, o)
+
+    def counted_face_at(self, a, b, o):
+        counts["fills"] += 1
+        return face_at(self, a, b, o)
+
+    monkeypatch.setattr(QuotientComplex, "column_faces", counted_column_faces)
+    monkeypatch.setattr(QuotientComplex, "face_at", counted_face_at)
+    paint_from_flower(cf, c)
+    # the six central triangles are painted one face_at each
+    assert counts == {"columns": cols, "triangles": 3 * c.face_count - 6, "fills": 6}
