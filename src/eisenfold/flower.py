@@ -152,8 +152,6 @@ class CappedFlower:
     necklace_colors: tuple[int, ...]
     fill_colors: dict
     cap_color: int
-    swap: bool
-    fill_phase: int
     _caps: tuple          # six cap quads, tripled
 
     def regions(self):
@@ -216,8 +214,6 @@ def fill_and_cap(
         necklace_colors=necklace_colors,
         fill_colors=fill_colors,
         cap_color=cap_color,
-        swap=swap,
-        fill_phase=fill_phase,
         _caps=caps,
     )
 

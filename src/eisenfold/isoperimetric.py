@@ -80,7 +80,6 @@ def enumerate_lattice_special_hexagons(perimeter_max: int):
 class RegionIsoperimetricReport:
     region_ratios: tuple[Fraction, ...]
     min_ratio: Fraction
-    min_region_index: int
     per_region_bound_holds: bool
     fold_total: int
     white_face_total: int
@@ -98,20 +97,18 @@ def region_isoperimetric_check(col: FaceColoring) -> RegionIsoperimetricReport:
     """
     if not is_good(col).good:
         raise GoodnessError("isoperimetric check needs a good coloring")
-    regions = monochrome_regions(col)
-    whites = [(i, r) for i, r in enumerate(regions) if r.color == WHITE]
+    whites = [r for r in monochrome_regions(col) if r.color == WHITE]
     ratios = tuple(
-        Fraction(r.boundary_length ** 2, len(r.faces)) for _, r in whites
+        Fraction(r.boundary_length ** 2, len(r.faces)) for r in whites
     )
     f = fold_count(col)
     F = col.complex.face_count
-    white_faces = sum(len(r.faces) for _, r in whites)
-    fold_sum = sum(r.boundary_length for _, r in whites)
+    white_faces = sum(len(r.faces) for r in whites)
+    fold_sum = sum(r.boundary_length for r in whites)
     if fold_sum != f or white_faces * 2 != F:
         raise AssertionError("white regions must carry all folds and half the faces")
-    sq_sum = sum(r.boundary_length ** 2 for _, r in whites)
+    sq_sum = sum(r.boundary_length ** 2 for r in whites)
     farey = Fraction(sq_sum, white_faces)
-    min_i = min(range(len(ratios)), key=lambda i: ratios[i])
     the_eta = Fraction(f * f, F)
     # chain: 2 eta = f^2/(F/2) >= sum f_j^2 / (F/2) = farey >= min >= 6
     chain_ok = (
@@ -123,8 +120,7 @@ def region_isoperimetric_check(col: FaceColoring) -> RegionIsoperimetricReport:
     )
     return RegionIsoperimetricReport(
         region_ratios=ratios,
-        min_ratio=ratios[min_i],
-        min_region_index=whites[min_i][0],
+        min_ratio=min(ratios),
         per_region_bound_holds=all(r >= 6 for r in ratios),
         fold_total=f,
         white_face_total=white_faces,

@@ -225,144 +225,130 @@ class _Budget:
         return min(limit, nodes + 2048)
 
 
-class _Dfs:
-    """Backtracking over good colorings with optional fold bounding.
+def _bits(colors) -> str:
+    """The 0/1 string of colors holding WHITE = 0 and BLACK = 1."""
+    return "".join(map(str, colors))
 
-    The state is the face colors, the black and white counts, and one code
-    per vertex (see _step_table).  A color is tried by looking up the step
-    table of each vertex of the face before anything changes, so an
-    infeasible child costs no undo; a committed color is undone by the
-    step tables of -m corners.
-    """
 
-    def __init__(self, tables: _Tables):
-        self.t = tables
-        self.colors = [-1] * tables.F
-        self.st = list(tables.start)
-        self.nb = 0
-        self.nw = 0
-
-    def _prefix(self, k: int) -> str:
-        order, colors = self.t.order, self.colors
-        return "".join("1" if colors[order[i]] == BLACK else "0" for i in range(k))
-
-    def replay_prefix(self, bits: str) -> tuple[int, int] | None:
-        """Assign the first len(bits) faces of the order and return (depth,
-        folds); None, leaving the state unspecified, if a vertex becomes
-        infeasible or a color exceeds half the faces."""
-        t, colors, st = self.t, self.colors, self.st
-        folds = 0
-        for k, ch in enumerate(bits):
-            f = t.order[k]
-            color = BLACK if ch == "1" else WHITE
-            folds += sum(colors[g] != color for g in t.earlier[f])
-            steps = t.steps[f][color]
-            if any(step[st[v]] < 0 for v, step in steps):
-                return None
-            for v, step in steps:
-                st[v] = step[st[v]]
-            colors[f] = color
-        self.nb = bits.count("1")
-        self.nw = len(bits) - self.nb
-        if max(self.nb, self.nw) > t.F // 2:
+def _replay(tables: _Tables, bits: str):
+    """The DFS state (colors, vertex codes, black count, white count, folds)
+    once the first len(bits) faces of the order hold these colors; None if a
+    vertex becomes infeasible or a color exceeds half the faces."""
+    colors, st = [-1] * tables.F, list(tables.start)
+    folds = 0
+    for k, ch in enumerate(bits):
+        f = tables.order[k]
+        color = int(ch)
+        folds += sum(colors[g] != color for g in tables.earlier[f])
+        steps = tables.steps[f][color]
+        if any(step[st[v]] < 0 for v, step in steps):
             return None
-        return len(bits), folds
+        for v, step in steps:
+            st[v] = step[st[v]]
+        colors[f] = color
+    nb = bits.count("1")
+    nw = len(bits) - nb
+    if max(nb, nw) > tables.F // 2:
+        return None
+    return colors, st, nb, nw, folds
 
-    def search(self, k: int, folds: int, bound, budget: _Budget, emit, frontier,
-               value_order=None):
-        """DFS from depth k; emit(colors, folds) at leaves with folds <= bound.
 
-        Returns True when the subtree was exhausted.  The budget is looked
-        at before a node is counted; when it runs out, that node and then
-        the untried choices of each open node, deepest first, are appended
-        to `frontier` as (prefix bits, folds so far), and False is returned
-        at once, so a resumed run counts each node once.  The DFS state
-        after such a stop is unspecified.  An emit that returns true stops
-        the search, which then returns None and leaves the DFS state as it
-        was at that leaf.  value_order(black folds, white folds) gives the
-        order of the two colors at a node; by default white is tried first.
+def _dfs(tables: _Tables, bits: str, bound, budget: _Budget, emit, frontier,
+         value_order=None):
+    """DFS below the prefix `bits`: emit(colors, folds) at leaves with
+    folds <= bound[0]; True when the subtree was exhausted (an infeasible
+    prefix has none).
 
-        The open nodes above the current one sit on an explicit stack, so
-        the depth is not limited by the interpreter's recursion limit.
-        """
-        t = self.t
-        F, order, half = t.F, t.order, t.F // 2
-        earlier, steps, undos = t.earlier, t.steps, t.undos
-        colors, st = self.colors, self.st
-        nb, nw, nodes = self.nb, self.nw, budget.nodes
-        check = nodes  # the node count at which the budget is next asked
-        # per open node: depth, face, choices, next choice, folds, fold deltas
-        stack = []
-        while True:
-            if nodes >= check and (check := budget.next_check(nodes)) is None:
-                frontier.append((self._prefix(k), folds))
-                for k, _, choices, i, folds, _, _ in reversed(stack):
-                    prefix = self._prefix(k)
-                    frontier.extend((prefix + ("1" if color == BLACK else "0"), folds)
-                                    for color in choices[i:])
+    The budget is looked at before a node is counted; when it runs out,
+    that node and then the untried choices of each open node, deepest
+    first, are appended to `frontier` as (prefix bits, folds so far), and
+    False is returned at once, so a resumed run counts each node once.  An
+    emit that returns true stops the search, which then returns None.
+    value_order(black folds, white folds) gives the order of the two colors
+    at a node; by default white is tried first.  A color is checked before
+    it is committed, so an infeasible child costs no undo, and open nodes
+    sit on an explicit stack, so no recursion limit bounds the depth.
+    """
+    state = _replay(tables, bits)
+    if state is None:
+        return True
+    colors, st, nb, nw, folds = state
+    k = len(bits)
+    F, order, half = tables.F, tables.order, tables.F // 2
+    earlier, steps, undos = tables.earlier, tables.steps, tables.undos
+    nodes = budget.nodes
+    check = nodes  # the node count at which the budget is next asked
+    # per open node: depth, face, choices, next choice, folds, fold deltas
+    stack = []
+    while True:
+        if nodes >= check and (check := budget.next_check(nodes)) is None:
+            frontier.append((_bits(colors[f] for f in order[:k]), folds))
+            for k, _, choices, i, folds, _, _ in reversed(stack):
+                prefix = _bits(colors[f] for f in order[:k])
+                frontier.extend((prefix + str(color), folds) for color in choices[i:])
+            budget.nodes = nodes
+            return False
+        nodes += 1
+        if bound[0] is not None and folds > bound[0]:
+            choices = ()
+        elif k == F:
+            if emit(tuple(colors), folds):
                 budget.nodes = nodes
-                return False
-            nodes += 1
-            if bound[0] is not None and folds > bound[0]:
-                choices = ()
-            elif k == F:
-                if emit(tuple(colors), folds):
-                    self.nb, self.nw, budget.nodes = nb, nw, nodes
-                    return None
-                choices = ()
+                return None
+            choices = ()
+        else:
+            f = order[k]
+            # folds that coloring f black, resp. white, adds: colored
+            # faces hold BLACK = 1 or WHITE = 0
+            d_white = 0
+            for g in earlier[f]:
+                d_white += colors[g]
+            d_black = len(earlier[f]) - d_white
+            if k == 0:
+                choices = (BLACK,)
+            elif value_order is None:
+                choices = (WHITE, BLACK)
             else:
-                f = order[k]
-                # folds that coloring f black, resp. white, adds: colored
-                # faces hold BLACK = 1 or WHITE = 0
-                d_white = 0
-                for g in earlier[f]:
-                    d_white += colors[g]
-                d_black = len(earlier[f]) - d_white
-                if k == 0:
-                    choices = (BLACK,)
-                elif value_order is None:
-                    choices = (WHITE, BLACK)
-                else:
-                    choices = value_order(d_black, d_white)
-            i = 0
-            while True:
-                if i < len(choices):
-                    color = choices[i]
-                    i += 1
-                    if color == BLACK:
-                        if nb >= half:
-                            continue
-                    elif nw >= half:
+                choices = value_order(d_black, d_white)
+        i = 0
+        while True:
+            if i < len(choices):
+                color = choices[i]
+                i += 1
+                if color == BLACK:
+                    if nb >= half:
                         continue
-                    moves = steps[f][color]
-                    for v, step in moves:
-                        if step[st[v]] < 0:
-                            break
-                    else:
-                        for v, step in moves:
-                            st[v] = step[st[v]]
-                        colors[f] = color
-                        if color == BLACK:
-                            nb += 1
-                        else:
-                            nw += 1
+                elif nw >= half:
+                    continue
+                moves = steps[f][color]
+                for v, step in moves:
+                    if step[st[v]] < 0:
                         break
-                elif stack:
-                    # the node at depth k is finished: resume its parent
-                    k, f, choices, i, folds, d_black, d_white = stack.pop()
-                    color = colors[f]
-                    colors[f] = -1
-                    if color == BLACK:
-                        nb -= 1
-                    else:
-                        nw -= 1
-                    for v, undo in undos[f][color]:
-                        st[v] = undo[st[v]]
                 else:
-                    self.nb, self.nw, budget.nodes = nb, nw, nodes
-                    return True
-            stack.append((k, f, choices, i, folds, d_black, d_white))
-            k, folds = k + 1, folds + (d_black if color == BLACK else d_white)
+                    for v, step in moves:
+                        st[v] = step[st[v]]
+                    colors[f] = color
+                    if color == BLACK:
+                        nb += 1
+                    else:
+                        nw += 1
+                    break
+            elif stack:
+                # the node at depth k is finished: resume its parent
+                k, f, choices, i, folds, d_black, d_white = stack.pop()
+                color = colors[f]
+                colors[f] = -1
+                if color == BLACK:
+                    nb -= 1
+                else:
+                    nw -= 1
+                for v, undo in undos[f][color]:
+                    st[v] = undo[st[v]]
+            else:
+                budget.nodes = nodes
+                return True
+        stack.append((k, f, choices, i, folds, d_black, d_white))
+        k, folds = k + 1, folds + (d_black if color == BLACK else d_white)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +361,7 @@ def iter_good_colorings(c: QuotientComplex):
     Each DFS leaf (first face black) is yielded followed by its global swap.
     """
     stash = []
-    _Dfs(_Tables(c)).search(0, 0, [None], _Budget(), lambda cols, folds: stash.append(cols), [])
+    _dfs(_Tables(c), "", [None], _Budget(), lambda cols, folds: stash.append(cols), [])
     for cols in stash:
         col = FaceColoring(c, cols)
         yield col
@@ -545,9 +531,7 @@ def _solve(tables: _Tables, prefixes, inc_fold: int, max_nodes, deadline):
 
     complete = True
     for bits in prefixes:
-        dfs = _Dfs(tables)
-        state = dfs.replay_prefix(bits)
-        if state is not None and not dfs.search(*state, bound, budget, emit, frontier):
+        if not _dfs(tables, bits, bound, budget, emit, frontier):
             complete = False
     return bound[0], ties, complete, budget.nodes, frontier
 
@@ -557,12 +541,11 @@ _SPLIT_DEPTH = 8
 
 def _expand_prefixes(tables: _Tables, depth: int) -> list[str]:
     """All assignments of the first `depth` faces (face 0 black) that
-    replay_prefix accepts, in DFS order."""
-
+    _replay accepts, in DFS order."""
     out = [""]
     for k in range(depth):
         out = [bits + ch for bits in out for ch in ("1" if k == 0 else "01")
-               if _Dfs(tables).replay_prefix(bits + ch) is not None]
+               if _replay(tables, bits + ch) is not None]
     return out
 
 
@@ -613,7 +596,7 @@ def _read_checkpoint(path: str, tables: _Tables):
     if not (isinstance(frontier, list)
             and all(isinstance(e, dict) and _is_bits(e.get("prefix"), F) for e in frontier)):
         raise DomainError("checkpoint frontier entries need a prefix of 0s and 1s")
-    col = FaceColoring(tables.c, tuple(BLACK if ch == "1" else WHITE for ch in bits))
+    col = FaceColoring(tables.c, tuple(map(int, bits)))
     if not is_good(col).good or fold_count(col) != stored:
         raise DomainError("checkpoint incumbent is not a good coloring of its fold")
     return stored, col.colors, [e["prefix"] for e in frontier], nodes
@@ -665,9 +648,7 @@ def _exact_search(c, max_nodes, deadline, nthreads, checkpoint_out, resume):
             "beta": [c.beta.a, c.beta.b],
             "order": tables.order,
             "incumbent_fold": best_fold,
-            "incumbent_colors": "".join(
-                "1" if x == BLACK else "0" for x in best
-            ),
+            "incumbent_colors": _bits(best),
             "frontier": [{"prefix": bits} for bits, _ in frontier],
             "nodes_explored": nodes,
         }
@@ -691,7 +672,7 @@ def _random_good_coloring(tables: _Tables, rng: random.Random, deadline: float):
         hit.append(cols)
         return True  # stop at the first leaf
 
-    _Dfs(tables).search(0, 0, [None], _Budget(deadline=deadline), emit, [], value_order)
+    _dfs(tables, "", [None], _Budget(deadline=deadline), emit, [], value_order)
     return hit[0] if hit else None
 
 
@@ -715,8 +696,7 @@ def _anytime_search(c, max_nodes, deadline, seed):
 
     now = time.monotonic()
     bud = _Budget(max_nodes or 300_000, now + max(1.0, (deadline - now) * 0.5))
-    dfs = _Dfs(tables)
-    complete = dfs.search(0, 0, bound, bud, emit, [], greedy_order)
+    complete = _dfs(tables, "", bound, bud, emit, [], greedy_order)
 
     # simulated annealing over star swaps, with restarts; stop early after
     # a stretch of restarts that bring no improvement.  The coloring, its

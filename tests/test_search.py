@@ -28,10 +28,13 @@ from eisenfold.search import (
 from eisenfold.search import (
     _SPLIT_DEPTH,
     _Budget,
-    _Dfs,
     _Tables,
+    _dfs,
     _expand_prefixes,
     _fold_floor,
+    _initial_incumbent,
+    _replay,
+    _solve,
     _star_table,
 )
 from eisenfold.surface import build_complex
@@ -180,9 +183,10 @@ def _greedy_order(black_folds, white_folds):
     return (BLACK, WHITE) if black_folds <= white_folds else (WHITE, BLACK)
 
 
-def _leaves(dfs_class, budget_class, tables, value_order, tighten):
-    """The (colors, folds) leaves a DFS emits and its node count, either
-    enumerating every good coloring or lowering the bound at each leaf."""
+def _leaves(search, budget_class, value_order, tighten):
+    """The (colors, folds) leaves a DFS from the root emits and its node
+    count, either enumerating every good coloring or lowering the bound at
+    each leaf; search(bound, budget, emit, frontier, value_order) runs it."""
     leaves, bound, budget = [], [None], budget_class()
 
     def emit(cols, folds):
@@ -190,7 +194,7 @@ def _leaves(dfs_class, budget_class, tables, value_order, tighten):
         if tighten and (bound[0] is None or folds < bound[0]):
             bound[0] = folds
 
-    dfs_class(tables).search(0, 0, bound, budget, emit, [], value_order)
+    search(bound, budget, emit, [], value_order)
     return leaves, budget.nodes
 
 
@@ -199,8 +203,10 @@ def test_dfs_visits_the_reference_tree(beta):
     tables = _Tables(build_complex(EisensteinInt(*beta)))
     for value_order in (None, _greedy_order):
         for tighten in (False, True):
-            assert (_leaves(_Dfs, _Budget, tables, value_order, tighten)
-                    == _leaves(ReferenceDfs, ReferenceBudget, tables, value_order, tighten))
+            assert (_leaves(lambda *args: _dfs(tables, "", *args), _Budget,
+                            value_order, tighten)
+                    == _leaves(lambda *args: ReferenceDfs(tables).search(0, 0, *args),
+                               ReferenceBudget, value_order, tighten))
     depth = min(_SPLIT_DEPTH, tables.F - 1)
     assert _expand_prefixes(tables, depth) == reference_expand_prefixes(tables, depth)
 
@@ -374,6 +380,25 @@ def test_checkpoint_and_resume_count_each_node_once(tmp_path, beta, max_nodes):
     assert rep.status == "ProvedOptimal"
     assert rep.nodes_explored == full.nodes_explored
     assert rep.best_coloring.colors == full.best_coloring.colors
+
+
+# the frontier a budget stop leaves resumes to the uninterrupted search, and
+# no entry records more folds than its prefix has
+@pytest.mark.parametrize("beta", SMALL_BETAS)
+def test_budget_stop_frontier_resumes_the_uninterrupted_search(beta):
+    tables = _Tables(build_complex(EisensteinInt(*beta)))
+    inc_fold = _initial_incumbent(tables.c)[0]
+    best_fold, _, complete, n, _ = _solve(tables, [""], inc_fold, None, None)
+    assert complete
+    for max_nodes in sorted({1, 2, 3, n // 3, n // 2, n - 1} & set(range(1, n))):
+        fold, _, complete, nodes, frontier = _solve(tables, [""], inc_fold, max_nodes, None)
+        assert (complete, nodes) == (False, max_nodes)
+        resumed = _solve(tables, [bits for bits, _ in frontier], fold, None, None)
+        assert (resumed[0], resumed[2], nodes + resumed[3]) == (best_fold, True, n)
+        replayed = [_replay(tables, bits) for bits, _ in frontier]
+        assert replayed[0] is not None and replayed[0][4] == frontier[0][1]
+        assert all(state is None or folds <= state[4]
+                   for (_, folds), state in zip(frontier, replayed))
 
 
 # sha256 of the checkpoint a 1-worker node budget writes, with its frontier
