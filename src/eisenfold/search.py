@@ -16,7 +16,6 @@ import random
 import time
 import weakref
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -144,13 +143,19 @@ def swappable_vertices(col: FaceColoring) -> list[int]:
 # its corners still uncolored and x is black minus white corners.  Goodness
 # needs x = 0 (mod 3) once u = 0, so a vertex stays completable unless u = 0
 # with x != 0, or u = 1 with x = 0 (mod 3): one more corner moves x by
-# exactly 1.  Coloring m corners of a vertex is one lookup in a table of
-# the 21 codes; the step table holds -1 where the vertex becomes infeasible.
+# exactly 1.  Coloring a corner of a vertex is one lookup in a table of the
+# 21 codes; the step table holds -1 where the vertex becomes infeasible.
+#
+# The three corners of a face are distinct vertices: the three cone points
+# are lattice vertices, so every rotation centre of the group is a lattice
+# point, and no group element maps a corner onto an adjacent one.  So
+# coloring a face is one step at each of three vertices, and _Tables checks
+# the fact for every complex it is given.
 
 
 def _step_table(sign: int, m: int) -> tuple[int, ...]:
-    """The code after m more corners of the given sign (m < 0 uncolors -m
-    of them), or -1."""
+    """The code after one more corner of the given sign (m = 1) or one
+    fewer (m = -1), or -1 where the vertex becomes infeasible."""
     out = []
     for code in range(21):
         u, x = divmod(code, 3)
@@ -160,24 +165,28 @@ def _step_table(sign: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# indexed [color][m] for a corner multiplicity m in {1, 2, 3}, where the
-# colors WHITE = 0 and BLACK = 1 move x by -1 and +1 per corner.  Every code
-# a step reaches comes from a feasible code, so the step by -m corners maps
-# it back to exactly that code: the undo tables are steps by -m.
-_STEP = tuple((None,) + tuple(_step_table(sign, m) for m in (1, 2, 3)) for sign in (-1, 1))
-_UNDO = tuple((None,) + tuple(_step_table(sign, -m) for m in (1, 2, 3)) for sign in (-1, 1))
+# indexed by color, WHITE = 0 and BLACK = 1, which move x by -1 and +1.
+# Every code a step reaches comes from a feasible code, so the step by -1
+# corner maps it back to exactly that code: the undo tables are those steps.
+_STEP = (_step_table(-1, 1), _step_table(1, 1))
+_UNDO = (_step_table(-1, -1), _step_table(1, -1))
 
 
 class _Tables:
+    """The face order of the DFS and, per depth k, two tables of the face
+    order[k]: corners_at[k], its three corners, and nbr_at[k] =
+    (count, g0, g1, g2), its sides glued to faces earlier in the order,
+    padded with the pad slot F, whose color is always 0."""
+
     def __init__(self, c: QuotientComplex):
         self.c = c
-        self.F = c.face_count
+        self.F = F = c.face_count
         neighbors = [[f2 for f2, _ in row] for row in c.pairing]
         deg2 = c.degrees.index(2)
-        start = sorted(f for f in range(self.F) if deg2 in c.face_vertices[f])
+        start = sorted(f for f in range(F) if deg2 in c.face_vertices[f])
         order, seen = list(start), set(start)
         i = 0
-        while len(order) < self.F:
+        while len(order) < F:
             f = order[i]
             i += 1
             for g in neighbors[f]:
@@ -185,18 +194,18 @@ class _Tables:
                     seen.add(g)
                     order.append(g)
         self.order = order
-        pos = [0] * self.F
+        pos = [0] * F
         for k, f in enumerate(order):
             pos[f] = k
-        # per face: one entry per side glued to a face colored before it in
-        # `order`, and per color the (vertex, table) pairs that color it
-        self.earlier = [tuple(g for g in neighbors[f] if pos[g] < pos[f])
-                        for f in range(self.F)]
-        corners = [tuple(Counter(ids).items()) for ids in c.face_vertices]
-        self.steps = [tuple(tuple((v, _STEP[color][m]) for v, m in cs) for color in (WHITE, BLACK))
-                      for cs in corners]
-        self.undos = [tuple(tuple((v, _UNDO[color][m]) for v, m in cs) for color in (WHITE, BLACK))
-                      for cs in corners]
+        self.corners_at = []
+        self.nbr_at = []
+        for k, f in enumerate(order):
+            corners = tuple(c.face_vertices[f])
+            if len(set(corners)) != 3:
+                raise AssertionError(f"face {f} repeats a corner: {corners}")
+            self.corners_at.append(corners)
+            earlier = [g for g in neighbors[f] if pos[g] < k]
+            self.nbr_at.append((len(earlier), *earlier, *[F] * (3 - len(earlier))))
         self.start = [3 * d for d in c.degrees]
 
 
@@ -233,19 +242,22 @@ def _bits(colors) -> str:
 def _replay(tables: _Tables, bits: str):
     """The DFS state (colors, vertex codes, black count, white count, folds)
     once the first len(bits) faces of the order hold these colors; None if a
-    vertex becomes infeasible or a color exceeds half the faces."""
-    colors, st = [-1] * tables.F, list(tables.start)
+    vertex becomes infeasible or a color exceeds half the faces.  colors
+    holds F + 1 entries, the last the pad slot."""
+    colors, st = [-1] * tables.F + [0], list(tables.start)
     folds = 0
     for k, ch in enumerate(bits):
-        f = tables.order[k]
         color = int(ch)
-        folds += sum(colors[g] != color for g in tables.earlier[f])
-        steps = tables.steps[f][color]
-        if any(step[st[v]] < 0 for v, step in steps):
+        count, g0, g1, g2 = tables.nbr_at[k]
+        d_white = colors[g0] + colors[g1] + colors[g2]
+        folds += d_white if color == WHITE else count - d_white
+        step = _STEP[color]
+        v0, v1, v2 = tables.corners_at[k]
+        s0, s1, s2 = step[st[v0]], step[st[v1]], step[st[v2]]
+        if s0 < 0 or s1 < 0 or s2 < 0:
             return None
-        for v, step in steps:
-            st[v] = step[st[v]]
-        colors[f] = color
+        st[v0], st[v1], st[v2] = s0, s1, s2
+        colors[tables.order[k]] = color
     nb = bits.count("1")
     nw = len(bits) - nb
     if max(nb, nw) > tables.F // 2:
@@ -265,90 +277,108 @@ def _dfs(tables: _Tables, bits: str, bound, budget: _Budget, emit, frontier,
     False is returned at once, so a resumed run counts each node once.  An
     emit that returns true stops the search, which then returns None.
     value_order(black folds, white folds) gives the order of the two colors
-    at a node; by default white is tried first.  A color is checked before
-    it is committed, so an infeasible child costs no undo, and open nodes
-    sit on an explicit stack, so no recursion limit bounds the depth.
+    at a node; by default white is tried first.
+
+    A color is checked before it is committed, so an infeasible child costs
+    no undo; a feasible child already above the bound is counted without a
+    commit unless the budget is due at that count, and then takes the
+    normal path, so a stop writes the same frontier.  The open node at
+    depth j keeps its folds, its untried color (or -1) and that color's
+    fold delta in per-depth lists, so no recursion limit bounds the depth.
     """
     state = _replay(tables, bits)
     if state is None:
         return True
-    colors, st, nb, nw, folds = state
-    k = len(bits)
+    colors, st, nb, _, folds = state
+    top = k = len(bits)
     F, order, half = tables.F, tables.order, tables.F // 2
-    earlier, steps, undos = tables.earlier, tables.steps, tables.undos
+    corners_at, nbr_at = tables.corners_at, tables.nbr_at
+    step_white, step_black = _STEP
+    # folds never exceed the 3F/2 edges, so the bound 3F prunes nothing
+    lim = 3 * F if bound[0] is None else bound[0]
+    fold_at, alt_at, dalt_at = [0] * F, [-1] * F, [0] * F
     nodes = budget.nodes
     check = nodes  # the node count at which the budget is next asked
-    # per open node: depth, face, choices, next choice, folds, fold deltas
-    stack = []
     while True:
         if nodes >= check and (check := budget.next_check(nodes)) is None:
             frontier.append((_bits(colors[f] for f in order[:k]), folds))
-            for k, _, choices, i, folds, _, _ in reversed(stack):
-                prefix = _bits(colors[f] for f in order[:k])
-                frontier.extend((prefix + str(color), folds) for color in choices[i:])
+            for j in range(k - 1, top - 1, -1):
+                if alt_at[j] >= 0:
+                    frontier.append((_bits(colors[f] for f in order[:j]) + str(alt_at[j]),
+                                     fold_at[j]))
             budget.nodes = nodes
             return False
         nodes += 1
-        if bound[0] is not None and folds > bound[0]:
-            choices = ()
+        color = alt = -1  # the colors to try at this node, none yet
+        if folds > lim:
+            pass
         elif k == F:
-            if emit(tuple(colors), folds):
+            if emit(tuple(colors[:F]), folds):
                 budget.nodes = nodes
                 return None
-            choices = ()
+            lim = 3 * F if bound[0] is None else bound[0]
         else:
-            f = order[k]
-            # folds that coloring f black, resp. white, adds: colored
-            # faces hold BLACK = 1 or WHITE = 0
-            d_white = 0
-            for g in earlier[f]:
-                d_white += colors[g]
-            d_black = len(earlier[f]) - d_white
+            # folds that coloring the face black, resp. white, adds:
+            # colored faces hold BLACK = 1 or WHITE = 0
+            count, g0, g1, g2 = nbr_at[k]
+            d_white = colors[g0] + colors[g1] + colors[g2]
+            d_black = count - d_white
             if k == 0:
-                choices = (BLACK,)
+                color, d, dalt = BLACK, d_black, 0
             elif value_order is None:
-                choices = (WHITE, BLACK)
+                color, d = WHITE, d_white
+                alt, dalt = BLACK, d_black
             else:
-                choices = value_order(d_black, d_white)
-        i = 0
+                color, alt = value_order(d_black, d_white)
+                d, dalt = (d_black, d_white) if color == BLACK else (d_white, d_black)
         while True:
-            if i < len(choices):
-                color = choices[i]
-                i += 1
-                if color == BLACK:
+            if color >= 0:
+                # try color, leaving alt as the node's untried color
+                c, dc = color, d
+                color, d, alt = alt, dalt, -1
+                if c == BLACK:
                     if nb >= half:
                         continue
-                elif nw >= half:
+                    step = step_black
+                else:
+                    if k - nb >= half:
+                        continue
+                    step = step_white
+                v0, v1, v2 = corners_at[k]
+                s0 = step[st[v0]]
+                if s0 < 0:
                     continue
-                moves = steps[f][color]
-                for v, step in moves:
-                    if step[st[v]] < 0:
-                        break
-                else:
-                    for v, step in moves:
-                        st[v] = step[st[v]]
-                    colors[f] = color
-                    if color == BLACK:
-                        nb += 1
-                    else:
-                        nw += 1
-                    break
-            elif stack:
-                # the node at depth k is finished: resume its parent
-                k, f, choices, i, folds, d_black, d_white = stack.pop()
-                color = colors[f]
-                colors[f] = -1
-                if color == BLACK:
-                    nb -= 1
-                else:
-                    nw -= 1
-                for v, undo in undos[f][color]:
-                    st[v] = undo[st[v]]
+                s1 = step[st[v1]]
+                if s1 < 0:
+                    continue
+                s2 = step[st[v2]]
+                if s2 < 0:
+                    continue
+                if folds + dc > lim and nodes < check:
+                    nodes += 1  # a pruned child
+                    continue
+                st[v0], st[v1], st[v2] = s0, s1, s2
+                # colors hold BLACK = 1 and WHITE = 0: nb counts the black
+                # faces and k - nb the white ones
+                colors[order[k]] = c
+                nb += c
+                fold_at[k], alt_at[k], dalt_at[k] = folds, color, d
+                k, folds = k + 1, folds + dc
+                break
+            elif k > top:
+                # the node at depth k is finished: resume its parent.  The
+                # face keeps its color, unread until it is colored again
+                k -= 1
+                c = colors[order[k]]
+                nb -= c
+                undo = _UNDO[c]
+                v0, v1, v2 = corners_at[k]
+                st[v0], st[v1], st[v2] = undo[st[v0]], undo[st[v1]], undo[st[v2]]
+                folds, color, d = fold_at[k], alt_at[k], dalt_at[k]
+                alt = -1
             else:
                 budget.nodes = nodes
                 return True
-        stack.append((k, f, choices, i, folds, d_black, d_white))
-        k, folds = k + 1, folds + (d_black if color == BLACK else d_white)
 
 
 # ---------------------------------------------------------------------------

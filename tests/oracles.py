@@ -149,13 +149,16 @@ class ReferenceDfs:
     stays completable unless u = 0 with x != 0, or u = 1 with x = 0
     (mod 3): one more corner moves x by exactly 1.
 
-    `tables` supplies the face order and the earlier neighbours of each
-    face; the corner multiplicities are derived here from its complex.
+    `tables` supplies the face order; the earlier neighbours of each face
+    and the corner multiplicities are derived here from its complex.
     """
 
     def __init__(self, tables):
         self.t = tables
         c = tables.c
+        pos = {f: k for k, f in enumerate(tables.order)}
+        self.earlier = [tuple(g for g, _ in c.pairing[f] if pos[g] < pos[f])
+                        for f in range(tables.F)]
         self.corners = [tuple(Counter(ids).items()) for ids in c.face_vertices]
         self.colors = [-1] * tables.F
         self.u = list(c.degrees)
@@ -197,7 +200,7 @@ class ReferenceDfs:
     def _fold_deltas(self, f: int) -> tuple[int, int]:
         """Folds that coloring f black, resp. white, adds to the colored part."""
         colors = self.colors
-        earlier = self.t.earlier[f]
+        earlier = self.earlier[f]
         blacks = 0
         for g in earlier:
             blacks += colors[g]  # colored faces hold BLACK = 1 or WHITE = 0

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -209,6 +210,24 @@ def test_dfs_visits_the_reference_tree(beta):
                                ReferenceBudget, value_order, tighten))
     depth = min(_SPLIT_DEPTH, tables.F - 1)
     assert _expand_prefixes(tables, depth) == reference_expand_prefixes(tables, depth)
+
+
+def test_every_face_has_three_distinct_corners():
+    # the DFS steps each corner of a face once: the cone points are lattice
+    # vertices, so every rotation centre is a lattice point, and no group
+    # element maps a corner onto an adjacent one
+    for b in range(1, 26):
+        for a in range(b + 1):
+            c = build_complex(EisensteinInt(a, b))
+            assert all(len(set(ids)) == 3 for ids in c.face_vertices), (a, b)
+
+
+def test_tables_reject_a_face_that_repeats_a_corner():
+    c = copy.copy(build_complex(EisensteinInt(1, 2)))
+    v0, _, v2 = c.face_vertices[-1]
+    c.face_vertices = c.face_vertices[:-1] + [(v0, v0, v2)]
+    with pytest.raises(AssertionError, match="repeats a corner"):
+        _Tables(c)
 
 
 def test_exact_search_1_2():
@@ -459,9 +478,78 @@ def test_an_incumbent_at_the_floor_is_proved_optimal():
 
 def test_two_workers_share_one_deadline():
     # each prefix task used to get the whole --max-seconds to itself: 4.1 s
-    # of wall time here for a 1 s deadline
-    c = build_complex(EisensteinInt(3, 4))
+    # of wall time on (3, 4) for a 1 s deadline.  (3, 4) is now proved at 2
+    # workers in about 1 s, and (2, 5) in about 2 s, so the search here is
+    # (1, 6), still open after 31 million nodes in 10 s at 2 workers
+    c = build_complex(EisensteinInt(1, 6))
     t0 = time.monotonic()
     rep = min_fold_search(c, mode="exact", threads=2, budget=SearchBudget(max_seconds=1))
     assert time.monotonic() - t0 < 3.0
     assert rep.status == "Incumbent"
+
+
+def _dfs_outcomes():
+    """(return, leaves, nodes, frontier) of _dfs over a grid of cases: every
+    beta of SMALL_BETAS under no, greedy and seeded random value orders,
+    with an enumerating, a bound-lowering and a stopping emit, unbudgeted
+    and at node budgets {1, 2, 3, N/3, N/2, N-1, N}, and below prefixes;
+    on (1, 2) a bounded search stopped at every node count; then _solve's budget stops at 777 and 20,000 nodes on three larger
+    betas."""
+    for beta in SMALL_BETAS:
+        tables = _Tables(build_complex(EisensteinInt(*beta)))
+
+        def run(bits, kind, order, max_nodes, bound=None):
+            rng = random.Random(7)
+            value_order = {
+                "none": None,
+                "greedy": _greedy_order,
+                "random": lambda db, dw: (BLACK, WHITE) if rng.random() < 0.5 else (WHITE, BLACK),
+            }[order]
+            leaves, bound, budget, frontier = [], [bound], _Budget(max_nodes), []
+
+            def emit(cols, folds):
+                leaves.append((cols, folds))
+                if kind == "tighten" and (bound[0] is None or folds < bound[0]):
+                    bound[0] = folds
+                return kind == "stop" and len(leaves) == 2
+
+            ret = _dfs(tables, bits, bound, budget, emit, frontier, value_order)
+            return ret, leaves, budget.nodes, frontier
+
+        for order in ("none", "greedy", "random"):
+            for kind in ("all", "tighten", "stop"):
+                outcome = run("", kind, order, None)
+                yield outcome
+                n = outcome[2]
+                for max_nodes in sorted({1, 2, 3, n // 3, n // 2, n - 1, n} - {0}):
+                    yield run("", kind, order, max_nodes)
+        inc_fold = _initial_incumbent(tables.c)[0]
+        for bits in ("0", "1", "10", "11", "100", "101", "110", "111", "1001", "1010"):
+            if len(bits) > tables.F:
+                continue
+            for kind in ("all", "tighten"):
+                yield run(bits, kind, "none", None, inc_fold if kind == "tighten" else None)
+                yield run(bits, kind, "greedy", 5)
+        if beta == (1, 2):  # a stop at every node of a bounded search
+            n = run("", "tighten", "none", None, inc_fold)[2]
+            for max_nodes in range(1, n + 1):
+                yield run("", "tighten", "none", max_nodes, inc_fold)
+    for beta in ((1, 4), (0, 5), (3, 3)):
+        tables = _Tables(build_complex(EisensteinInt(*beta)))
+        inc_fold = _initial_incumbent(tables.c)[0]
+        for max_nodes in (777, 20_000):
+            yield _solve(tables, [""], inc_fold, max_nodes, None)
+
+
+# sha256 of the outcomes above, recorded before the DFS loop was rewritten
+# over per-depth tables: the rewrite walks the same tree
+DFS_OUTCOMES_SHA256 = (1190, "a004d40bb419d0d5085d4f09dc603f640263cdf97d56b052f16a6aacd3273f74")
+
+
+def test_dfs_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for outcome in _dfs_outcomes():
+        digest.update(repr(outcome).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == DFS_OUTCOMES_SHA256
