@@ -12,8 +12,12 @@ All approximants of one limit come from one walk down zeta's continued
 fraction.  Next to each convergent h/k the walk carries the fold count f
 that `flower.cf_fold_count` would run Euclid's algorithm on (h, k) to find,
 by a recurrence of the convergents' own shape (see `_convergents`), so
-eta = f^2 / F costs no Euclid at all.  Depths that go up resume the walk;
-a lower depth restarts it when its convergent lies behind the walk's.
+eta = f^2 / F costs no Euclid at all, and is expanded without reducing it.
+Past the preperiod and one full period, one period of that walk is a
+fixed affine map of (h, k, f) and the convergents before them, so the walk
+jumps by powers of that map (see `_Walk`): a seek costs O(log) big-integer
+products, not one step per partial quotient.  Depths that go up resume the
+walk; a lower depth restarts it when its convergent lies behind the walk's.
 """
 
 from __future__ import annotations
@@ -85,7 +89,16 @@ def parse_zeta(text: str) -> QuadraticSurd:
     raise DomainError(f"unrecognized zeta syntax {text!r}")
 
 
-def _convergents(e: CFExpansion):
+def _terms(e: CFExpansion, n: int):
+    """The partial quotients t_n, t_(n+1), ... of e (t_0 is the leading term)."""
+    pre, per = e.preperiod, e.period
+    if n < len(pre):
+        return chain(pre[n:], cycle(per))
+    i = (n - len(pre)) % len(per)
+    return cycle(per[i:] + per[:i])
+
+
+def _convergents(e: CFExpansion, at: tuple | None = None):
     """The nonzero convergents (h, k) of the expansion e, in order, each with
     the fold count f of the continued-fraction coloring of h/k.
 
@@ -96,43 +109,130 @@ def _convergents(e: CFExpansion):
     term, does the fold: f_n = t_n*f_(n-1) + f_(n-2) + t_n^2 + 2*t_(n-1),
     with f_0 = f_(-1) = 3 and t_0 = 0.  f means nothing for zeta outside
     (0, 1).
+
+    `at` = (n, h_n, h_(n-1), k_n, k_(n-1), f_n, f_(n-1)) resumes the walk
+    after convergent n; without it the walk starts at convergent 0, t_0/1,
+    and yields that one too if it is nonzero.
     """
-    h, h1 = 1, 0
-    k, k1 = 0, 1
-    f, f1, t0 = 3, 3, 0
-    terms = chain(e.preperiod, cycle(e.period))
-    t = next(terms)  # the leading term is not one of Euclid's quotients
-    while True:
+    if at is None:
+        at = _first(e)
+        if at[1] > 0:
+            yield at[1], at[3], at[5]
+    n, h, h1, k, k1, f, f1 = at
+    terms = _terms(e, n)
+    t0 = next(terms)
+    for t in terms:
         h, h1 = t * h + h1, h
         k, k1 = t * k + k1, k
+        f, f1 = t * f + f1 + t * t + 2 * t0, f
+        t0 = t
         if h > 0:
             yield h, k, f
-        t0, t = t, next(terms)
-        f, f1 = t * f + f1 + t * t + 2 * t0, f
+
+
+def _first(e: CFExpansion) -> tuple:
+    """Convergent 0 of e, t_0/1, as a resumable `_convergents` position."""
+    return (0, next(_terms(e, 0)), 1, 1, 0, 3, 3)
+
+
+def _apply(x: tuple, m: tuple) -> tuple:
+    """x = (h, h1, k, k1, f, f1) after the affine map m = (P, w) over whole
+    periods: (h, h1)*P, (k, k1)*P and (f, f1)*P + w for the row-vector
+    product with P = ((m0, m1), (m2, m3)) and w = (m4, m5).
+
+    A map is laid out as the state it makes of (1, 0, 0, 1, 0, 0), so
+    _apply(m, m) is m applied twice.
+    """
+    h, h1, k, k1, f, f1 = x
+    p00, p01, p10, p11, w0, w1 = m
+    return (
+        h * p00 + h1 * p10, h * p01 + h1 * p11,
+        k * p00 + k1 * p10, k * p01 + k1 * p11,
+        f * p00 + f1 * p10 + w0, f * p01 + f1 * p11 + w1,
+    )
 
 
 class _Walk:
     """A resumable walk over zeta's nonzero convergents: `h / k` is the
-    current one and `fold` the fold count of its coloring."""
+    current one and `fold` the fold count of its coloring.
+
+    Convergent n and the one before it, with their folds, are the state
+    `_convergents` resumes from.  Once the walk is past the preperiod and
+    one full period, a whole period of steps is one affine map of that
+    state, (h, h1)*P, (k, k1)*P and (f, f1)*P + w, where P is the product
+    of the period's matrices [[t, 1], [1, 0]] (the continuant matrices):
+    the fold's extra term t_n^2 + 2*t_(n-1) repeats with the period once
+    t_(n-1) is a period term too.  A seek squares that map while the next
+    power stays below the target denominator, applies the powers from the
+    largest down wherever the result stays below it, and single-steps only
+    inside the last period, so it costs O(log) big-integer products, not
+    one step per partial quotient.  The powers are dropped after the seek.
+    """
 
     def __init__(self, zeta: QuadraticSurd):
-        self._expansion = periodic_cf_of_surd(zeta)
+        e = self._expansion = periodic_cf_of_surd(zeta)
+        self._period = len(e.period)
+        self._period_end = len(e.preperiod) + self._period - 1  # t_n ends a full period
+        # the period's map, as the state it makes of (1, 0, 0, 1, 0, 0)
+        self._map = self._step(
+            (self._period_end, 1, 0, 0, 1, 0, 0), lambda n, k: n == self._period_end + self._period
+        )[1:]
         self._restart()
 
     def _restart(self) -> None:
-        self._steps = _convergents(self._expansion)
-        self.h, self.k, self.fold = next(self._steps)
-        self._k_before = 0  # denominator of the convergent before this one
+        at = _first(self._expansion)
+        if at[1] <= 0:
+            at = self._step(at, lambda n, k: True)
+        self._at = at
+        self.h, self.k, self.fold = at[1], at[3], at[5]
+        self._k_before = 0  # denominator of the nonzero convergent before this one
+
+    def _ends_period(self, n: int) -> bool:
+        return n >= self._period_end and (n - self._period_end) % self._period == 0
+
+    def _step(self, at: tuple, done) -> tuple:
+        """Single steps of `_convergents` from `at` until done(n, k)."""
+        n, h, h1, k, k1, f, f1 = at
+        for h2, k2, f2 in _convergents(self._expansion, at):
+            n, h, h1, k, k1, f, f1 = n + 1, h2, h, k2, k, f2, f
+            if done(n, k):
+                break
+        return n, h, h1, k, k1, f, f1
+
+    def _jump(self, at: tuple, min_denominator: int) -> tuple:
+        """From a period end, the last period end whose k < min_denominator."""
+        n, x = at[0], at[1:]
+        k, k1 = x[2], x[3]
+        powers = []
+        m, periods = self._map, 1
+        bits = min_denominator.bit_length() - k.bit_length() + 3
+        while k * m[0] + k1 * m[2] < min_denominator:
+            powers.append((m, periods))
+            if 2 * m[0].bit_length() >= bits:
+                # the square's m[0] is at least m[0]^2, and k * m[0]^2 >=
+                # 2^min_denominator.bit_length(): it would reach the target
+                break
+            m, periods = _apply(m, m), 2 * periods
+        for m, periods in reversed(powers):
+            if x[2] * m[0] + x[3] * m[2] < min_denominator:
+                x = _apply(x, m)
+                n += periods * self._period
+        return (n,) + x
 
     def seek(self, min_denominator: int) -> None:
         """Move to the first convergent with k >= min_denominator."""
         if self._k_before >= min_denominator:
             self._restart()
-        h, k, fold, k_before, steps = self.h, self.k, self.fold, self._k_before, self._steps
-        while k < min_denominator:
-            k_before = k
-            h, k, fold = next(steps)
-        self.h, self.k, self.fold, self._k_before = h, k, fold, k_before
+        at = self._at
+        if at[3] >= min_denominator:
+            return
+        if not self._ends_period(at[0]):
+            at = self._step(at, lambda n, k: k >= min_denominator or self._ends_period(n))
+        if at[3] < min_denominator:
+            at = self._jump(at, min_denominator)
+            at = self._step(at, lambda n, k: k >= min_denominator)
+        self._at = at
+        self.h, self.k, self.fold, self._k_before = at[1], at[3], at[5], at[4]
 
 
 def approximant(zeta: QuadraticSurd, min_denominator: int, walk: _Walk | None = None) -> Fraction:
@@ -159,21 +259,22 @@ def eta_of_approximant(p: int, q: int) -> Fraction:
     return cf_eta(p, q)
 
 
-def _eta(r: Fraction, fold: int) -> Fraction:
-    return Fraction(fold * fold, cf_face_count(r.numerator, r.denominator))
+def _eta(r: Fraction, fold: int) -> tuple[int, int]:
+    """eta = fold^2 / F of the coloring of r, as an unreduced pair."""
+    return fold * fold, cf_face_count(r.numerator, r.denominator)
 
 
-def _agreeing_prefix(x: Fraction, y: Fraction) -> list[int]:
-    """The leading partial quotients that x > 0 and y > 0 share.
+def _agreeing_prefix(x: tuple[int, int], y: tuple[int, int]) -> list[int]:
+    """The leading partial quotients that p/q > 0 and p'/q' > 0 share, given
+    x = (p, q) and y = (p', q').
 
-    Both expansions advance in lockstep and stop at the first term where
-    they differ or either one ends, so no term past the answer is computed.
+    Neither pair needs to be reduced: Euclid on (g*p, g*q) takes the same
+    quotients as on (p, q), so no gcd is spent on them.  Both expansions
+    advance in lockstep and stop at the first term where they differ or
+    either one ends, so no term past the answer is computed.
     """
     prefix = []
-    for s, t in zip(
-        continued_fraction_terms(x.numerator, x.denominator),
-        continued_fraction_terms(y.numerator, y.denominator),
-    ):
+    for s, t in zip(continued_fraction_terms(*x), continued_fraction_terms(*y)):
         if s != t:
             break
         prefix.append(s)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from eisenfold.eisenstein import DomainError, continued_fraction_euclid
 from eisenfold.flower import cf_face_count, cf_fold_count
 from eisenfold.limits import (
+    DEFAULT_DEPTH_SCHEDULE,
     UndeterminedError,
     _agreeing_prefix,
     _convergents,
@@ -91,6 +94,116 @@ def test_convergents_and_approximant_keep_working_outside_the_unit_interval():
     assert convergents(root2, 4) == [Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(17, 12)]
 
 
+def _plain_seeks(zeta: QuadraticSurd, targets) -> dict:
+    """Oracle: (index, h, k, fold) of the first nonzero convergent with
+    k >= m, for each target m, from one pass of single `_convergents` steps."""
+    pending = sorted(set(targets))
+    want = {}
+    for index, (h, k, f) in enumerate(_convergents(periodic_cf_of_surd(zeta))):
+        while pending and k >= pending[0]:
+            want[pending.pop(0)] = (index, h, k, f)
+        if not pending:
+            return want
+
+
+def _assert_jumps_match_plain_steps(monkeypatch, zeta: QuadraticSurd, targets) -> None:
+    # a restart happens exactly when the target lies behind the walk
+    import eisenfold.limits as limits
+
+    restarts = []
+    restart = limits._Walk._restart
+
+    def counted(walk):
+        restarts.append(walk)
+        restart(walk)
+
+    monkeypatch.setattr(limits._Walk, "_restart", counted)
+    want = _plain_seeks(zeta, targets)
+    walk = limits._Walk(zeta)
+    position = 0
+    for m in targets:
+        before = len(restarts)
+        walk.seek(m)
+        index, h, k, f = want[m]
+        assert (walk.h, walk.k, walk.fold) == (h, k, f), (zeta, m)
+        assert len(restarts) - before == (index < position), (zeta, m)
+        position = index
+
+
+PLAIN_ZETAS = [golden_zeta()] + [sqrt_zeta(n) for n in range(2, 100) if isqrt(n) ** 2 != n]
+# outside (0, 1): sqrt(2), and (1 + sqrt 5)/2 with an empty preperiod; and two
+# whose preperiod's last term is not the period's, [0; 3, 1, (2)] and
+# [0; 5, 1, 1, (1, 2, 3)]
+ODD_ZETAS = [
+    QuadraticSurd(Fraction(0), Fraction(1), 2),
+    QuadraticSurd(Fraction(1, 2), Fraction(1, 2), 5),
+    QuadraticSurd(Fraction(6, 17), Fraction(-1, 17), 2),
+    QuadraticSurd(Fraction(68, 417), Fraction(1, 417), 37),
+]
+
+
+def test_odd_zetas_have_the_expansions_they_are_chosen_for():
+    shapes = [(e.preperiod, e.period) for e in map(periodic_cf_of_surd, ODD_ZETAS)]
+    assert shapes == [
+        ((1,), (2,)), ((), (1,)), ((0, 3, 1), (2,)), ((0, 5, 1, 1), (1, 2, 3))
+    ]
+
+
+def test_jumping_walk_matches_plain_steps_on_the_default_schedule_up_and_down(monkeypatch):
+    up = [10 ** d for rung in DEFAULT_DEPTH_SCHEDULE for d in rung]
+    for zeta in PLAIN_ZETAS + ODD_ZETAS:
+        _assert_jumps_match_plain_steps(monkeypatch, zeta, up)
+        _assert_jumps_match_plain_steps(monkeypatch, zeta, up[::-1])
+
+
+@pytest.mark.parametrize("depths", [
+    (400, 500, 40, 60), (60, 40), (40, 60, 40, 60), (500, 400), (30, 20, 20, 30), (200, 150),
+    (1, 1, 0, 2, 2, 1600, 1600, 3),
+])
+@pytest.mark.parametrize(
+    "zeta", [golden_zeta(), sqrt_zeta(6), sqrt_zeta(13), sqrt_zeta(19)] + ODD_ZETAS
+)
+def test_jumping_walk_matches_plain_steps_on_schedule_shapes(monkeypatch, zeta, depths):
+    _assert_jumps_match_plain_steps(monkeypatch, zeta, [10 ** d for d in depths])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jumping_walk_matches_plain_steps_at_random_depths(monkeypatch, seed):
+    # half the targets sit on a convergent's denominator k or next to it;
+    # k + 1 then k puts the second target at the convergent before the walk's
+    rng = random.Random(seed)
+    for zeta in [golden_zeta(), sqrt_zeta(23), sqrt_zeta(94)] + ODD_ZETAS:
+        ks = [k for _, k, _ in islice(_convergents(periodic_cf_of_surd(zeta)), 2000)]
+        targets = [[rng.randrange(1, 10 ** rng.randrange(1, 1601))] for _ in range(8)]
+        targets += [[max(1, rng.choice(ks) + rng.choice((-1, 0, 1)))] for _ in range(4)]
+        targets += [[k + 1, k] for k in rng.sample(ks, 4)]
+        rng.shuffle(targets)
+        _assert_jumps_match_plain_steps(monkeypatch, zeta, [m for pair in targets for m in pair])
+
+
+def test_a_seek_single_steps_only_inside_the_last_period(monkeypatch):
+    import eisenfold.limits as limits
+
+    steps = []
+    convergents = limits._convergents
+
+    def counted(e, at=None):
+        for out in convergents(e, at):
+            steps.append(out)
+            yield out
+
+    monkeypatch.setattr(limits, "_convergents", counted)
+    for zeta in PLAIN_ZETAS + ODD_ZETAS:
+        e = periodic_cf_of_surd(zeta)
+        walk = limits._Walk(zeta)
+        for d in (1600, 40, 1200, 1500, 1500, 600):
+            steps.clear()
+            walk.seek(10 ** d)
+            # to the end of the preperiod and one full period (after a
+            # restart) or of this period, then inside the last period
+            assert len(steps) <= len(e.preperiod) + 2 * len(e.period), (zeta, d)
+
+
 @pytest.mark.parametrize("zeta", [
     QuadraticSurd(Fraction(0), Fraction(1), 2),  # sqrt(2) > 1 failed partway through
     QuadraticSurd(Fraction(-1), Fraction(-1), 2),
@@ -137,19 +250,34 @@ def test_lockstep_prefix_is_the_common_prefix_of_the_full_expansions(head, commo
     y = evaluate_continued_fraction([head] + common + tail2)
     assume(x > 0 and y > 0)
     full = [continued_fraction_euclid(v.numerator, v.denominator) for v in (x, y)]
-    assert _agreeing_prefix(x, y) == _common_prefix(*full)
+    pairs = [(v.numerator, v.denominator) for v in (x, y)]
+    assert _agreeing_prefix(*pairs) == _common_prefix(*full)
 
 
 @pytest.mark.parametrize("x, y, prefix", [
-    (Fraction(3), Fraction(3), [3]),
-    (Fraction(3), Fraction(4), []),
-    (Fraction(3), Fraction(7, 2), [3]),
-    (Fraction(10, 7), Fraction(10, 7), [1, 2, 3]),
-    (Fraction(3, 2), Fraction(10, 7), [1, 2]),
-    (Fraction(16, 11), Fraction(21, 16), [1]),  # [1; 2, 5] and [1; 3, 5]
+    ((3, 1), (3, 1), [3]),
+    ((3, 1), (4, 1), []),
+    ((3, 1), (7, 2), [3]),
+    ((10, 7), (10, 7), [1, 2, 3]),
+    ((3, 2), (10, 7), [1, 2]),
+    ((16, 11), (21, 16), [1]),  # [1; 2, 5] and [1; 3, 5]
 ])
 def test_lockstep_prefix_examples(x, y, prefix):
     assert _agreeing_prefix(x, y) == _agreeing_prefix(y, x) == prefix
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6),
+    y=st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6),
+    g=st.integers(1, 10 ** 30),
+    h=st.integers(1, 10 ** 30),
+)
+def test_lockstep_prefix_of_unreduced_pairs(x, y, g, h):
+    # eta_limit_numeric expands (f^2, F) without dividing out their gcd
+    p, q, r, s = x.numerator, x.denominator, y.numerator, y.denominator
+    assert _agreeing_prefix((g * p, g * q), (h * r, h * s)) == _agreeing_prefix((p, q), (r, s))
+    assert _agreeing_prefix((g * p, g * q), (p, q)) == continued_fraction_euclid(p, q)
 
 
 @pytest.mark.parametrize("schedule", [((150, 150),), ((40, 60), (150, 150))])
