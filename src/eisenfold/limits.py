@@ -2,11 +2,16 @@
 
 For the golden aspect the fold and face counts have Fibonacci closed forms;
 for a general quadratic irrational zeta the limiting ratio is recovered
-numerically but exactly: expand eta of two deep rational approximants in
-lockstep, only as far as their continued fractions agree, detect a
-repeating tail in that prefix, and reconstruct the quadratic surd it
-determines.  Detection is conservative (two distinct approximants, three
-full repeats, safety margin) and failure raises rather than guessing.
+numerically but exactly: expand eta of two deep rational approximants
+only as far as their continued fractions agree, detect a repeating tail
+in that prefix, and reconstruct the quadratic surd it determines.
+Detection is conservative (two distinct approximants, three full
+repeats, safety margin) and failure raises rather than guessing.
+
+The agreeing prefix is read in certified chunks: cut to their top
+_CHUNK_BITS bits, the two eta lie inside intervals whose ends' shared
+terms Euclid on those small numbers finds, and exact arithmetic only
+re-bases both pairs past those terms (see `_agreeing_prefix`).
 
 All approximants of one limit come from one walk down zeta's continued
 fraction.  Next to each convergent h/k the walk carries the fold count f
@@ -170,6 +175,10 @@ class _Walk:
     """
 
     def __init__(self, zeta: QuadraticSurd):
+        if not zeta > 0:
+            # no convergent of a zeta <= 0 is positive, and the walk steps
+            # until it finds one
+            raise DomainError(f"zeta must be positive, got {zeta}")
         e = self._expansion = periodic_cf_of_surd(zeta)
         self._period = len(e.period)
         self._period_end = len(e.preperiod) + self._period - 1  # t_n ends a full period
@@ -239,7 +248,8 @@ def approximant(zeta: QuadraticSurd, min_denominator: int, walk: _Walk | None = 
     """First continued-fraction convergent of zeta with denominator >= bound.
 
     Given a walk over zeta's convergents, moves that walk there and leaves
-    it there; otherwise walks from zeta's first convergent.
+    it there; otherwise walks from zeta's first convergent.  zeta must be
+    positive.
     """
     if walk is None:
         walk = _Walk(zeta)
@@ -264,20 +274,78 @@ def _eta(r: Fraction, fold: int) -> tuple[int, int]:
     return fold * fold, cf_face_count(r.numerator, r.denominator)
 
 
+_CHUNK_BITS = 256
+
+
+def _certified_terms(p: int, q: int, r: int, s: int) -> tuple[list[int], tuple]:
+    """Leading partial quotients that p/q and r/s certainly share, read from
+    their top _CHUNK_BITS bits, with the continuant matrix (h, h1, k, k1) of
+    those terms; both fractions have more terms after them.
+
+    With P = p >> sh and Q = q >> sh, p/q lies strictly between P/(Q + 1)
+    and (P + 1)/Q, and so does r/s between its own ends.  Let lo be the
+    smaller lower end and hi the larger upper one.  The fractions whose
+    expansion starts with t_0..t_(u-1) and goes on form an open interval
+    whose closure holds every fraction that starts with those terms, so if
+    lo and hi share t_0..t_(u-1), both p/q and r/s, which lie strictly
+    between them, start with those terms and go on.
+    """
+    sh = min(p.bit_length(), q.bit_length(), r.bit_length(), s.bit_length()) - _CHUNK_BITS
+    p, q, r, s = p >> sh, q >> sh, r >> sh, s >> sh
+    a, b = (p, q + 1) if p * (s + 1) < r * (q + 1) else (r, s + 1)
+    c, d = (p + 1, q) if (p + 1) * s > (r + 1) * q else (r + 1, s)
+    terms = []
+    h, h1, k, k1 = 1, 0, 0, 1
+    while b and d:
+        t, m = divmod(a, b)
+        if t != c // d:
+            break
+        terms.append(t)
+        a, b, c, d = b, m, d, c - t * d
+        h, h1, k, k1 = t * h + h1, h, t * k + k1, k
+    return terms, (h, h1, k, k1)
+
+
 def _agreeing_prefix(x: tuple[int, int], y: tuple[int, int]) -> list[int]:
     """The leading partial quotients that p/q > 0 and p'/q' > 0 share, given
     x = (p, q) and y = (p', q').
 
     Neither pair needs to be reduced: Euclid on (g*p, g*q) takes the same
-    quotients as on (p, q), so no gcd is spent on them.  Both expansions
-    advance in lockstep and stop at the first term where they differ or
-    either one ends, so no term past the answer is computed.
+    quotients as on (p, q), so no gcd is spent on them.  The expansions
+    stop at the first term where they differ or either one ends, so no
+    term past the answer is computed.  While every number has at least
+    2 * _CHUNK_BITS bits, the shared terms are read in chunks from the top
+    _CHUNK_BITS bits of each number (see `_certified_terms`), and the
+    inverse of the chunk's continuant matrix, whose determinant is +-1,
+    takes both exact pairs to their Euclid remainders after it.  A chunk
+    that certifies no term (a quotient wider than the chunk, or the two
+    fractions parting) takes one exact Euclid step instead; once a number
+    is narrower, exact Euclid finishes both in lockstep.
+
+    This is not Lehmer's word-size Euclid, which re-bases after every
+    machine word's few terms and checks each quotient on its own: in pure
+    Python a small-number step costs about what the big one it replaces
+    does.  A chunk of _CHUNK_BITS bits certifies about 60 terms at once,
+    for four big-integer products per pair.
     """
+    (p, q), (r, s) = x, y
     prefix = []
-    for s, t in zip(continued_fraction_terms(*x), continued_fraction_terms(*y)):
-        if s != t:
+    while min(p.bit_length(), q.bit_length(), r.bit_length(), s.bit_length()) >= 2 * _CHUNK_BITS:
+        terms, (h, h1, k, k1) = _certified_terms(p, q, r, s)
+        if terms:
+            prefix += terms
+            p, q = abs(k1 * p - h1 * q), abs(h * q - k * p)
+            r, s = abs(k1 * r - h1 * s), abs(h * s - k * r)
+            continue
+        t, m = divmod(p, q)
+        if t != r // s:
+            return prefix
+        prefix.append(t)
+        p, q, r, s = q, m, s, r - t * s
+    for t, u in zip(continued_fraction_terms(p, q), continued_fraction_terms(r, s)):
+        if t != u:
             break
-        prefix.append(s)
+        prefix.append(t)
     return prefix
 
 

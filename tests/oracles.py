@@ -21,6 +21,7 @@ from eisenfold.eisenstein import (
     DomainError,
     EisensteinInt,
     canonical,
+    continued_fraction_terms,
     is_primitive,
     slow_gauss,
 )
@@ -374,6 +375,20 @@ def evaluate_continued_fraction(terms: list[int]) -> Fraction:
     for t in reversed(terms[:-1]):
         value = t + 1 / value
     return value
+
+
+def lockstep_prefix(x: tuple[int, int], y: tuple[int, int]) -> list[int]:
+    """The leading partial quotients that p/q > 0 and p'/q' > 0 share, given
+    x = (p, q) and y = (p', q'): exact Euclid on both pairs in lockstep, up
+    to the first term where they differ or either one ends.  The library's
+    `limits._agreeing_prefix` reads most of these terms in certified chunks
+    instead."""
+    prefix = []
+    for s, t in zip(continued_fraction_terms(*x), continued_fraction_terms(*y)):
+        if s != t:
+            break
+        prefix.append(s)
+    return prefix
 
 
 def tree_children(r: Fraction) -> tuple[Fraction, Fraction]:

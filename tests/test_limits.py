@@ -12,6 +12,7 @@ from eisenfold.flower import cf_face_count, cf_fold_count
 from eisenfold.limits import (
     DEFAULT_DEPTH_SCHEDULE,
     UndeterminedError,
+    _CHUNK_BITS,
     _agreeing_prefix,
     _convergents,
     _detect_period,
@@ -26,7 +27,7 @@ from eisenfold.limits import (
     sqrt_zeta,
 )
 from eisenfold.surd import QuadraticSurd, periodic_cf_of_surd
-from oracles import convergents, evaluate_continued_fraction
+from oracles import convergents, evaluate_continued_fraction, lockstep_prefix
 
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
@@ -92,6 +93,21 @@ def test_convergents_and_approximant_keep_working_outside_the_unit_interval():
     root2 = QuadraticSurd(Fraction(0), Fraction(1), 2)
     assert approximant(root2, 10) == Fraction(17, 12)
     assert convergents(root2, 4) == [Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(17, 12)]
+
+
+@pytest.mark.parametrize("zeta", [
+    QuadraticSurd(Fraction(1, 2), Fraction(-1), 2),
+    QuadraticSurd(Fraction(-1), Fraction(-1), 2),
+])
+def test_approximant_rejects_a_zeta_at_or_below_zero(monkeypatch, zeta):
+    # no convergent of such a zeta is positive, and the walk once stepped
+    # forever looking for one; a bounded walk fails here instead of hanging
+    import eisenfold.limits as limits
+
+    terms_of = limits._terms
+    monkeypatch.setattr(limits, "_terms", lambda e, n: islice(terms_of(e, n), 10_000))
+    with pytest.raises(DomainError):
+        approximant(zeta, 10)
 
 
 def _plain_seeks(zeta: QuadraticSurd, targets) -> dict:
@@ -278,6 +294,136 @@ def test_lockstep_prefix_of_unreduced_pairs(x, y, g, h):
     p, q, r, s = x.numerator, x.denominator, y.numerator, y.denominator
     assert _agreeing_prefix((g * p, g * q), (h * r, h * s)) == _agreeing_prefix((p, q), (r, s))
     assert _agreeing_prefix((g * p, g * q), (p, q)) == continued_fraction_euclid(p, q)
+
+
+def _continuants(terms: list[int]) -> tuple[int, int]:
+    """[t0; t1, ..., tn] as the coprime pair (h, k) of its continuants."""
+    h, h1, k, k1 = 1, 0, 0, 1
+    for t in terms:
+        h, h1, k, k1 = t * h + h1, h, t * k + k1, k
+    return h, k
+
+
+def _random_terms(rng: random.Random, n: int, wide: float) -> list[int]:
+    """n partial quotients, mostly small, a share `wide` of them wider than
+    a chunk, the rest up to 10^6."""
+    out = []
+    for _ in range(n):
+        u = rng.random()
+        if u < wide:
+            out.append(rng.getrandbits(rng.randint(_CHUNK_BITS + 1, 4 * _CHUNK_BITS)) | 1)
+        elif u < 0.97:
+            out.append(rng.choice((1, 1, 1, 2, 2, 3, 4, 5, 7, 12)))
+        else:
+            out.append(rng.randint(1, 10 ** 6))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32),
+    common=st.integers(400, 3000),
+    tails=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+    wide=st.sampled_from([0.0, 0.01, 0.1]),
+    relation=st.sampled_from(["diverging", "convergent", "equal"]),
+    scales=st.tuples(st.sampled_from([0, 1, 600, 3000]), st.sampled_from([0, 1, 600, 3000])),
+)
+def test_chunked_prefix_matches_the_lockstep_oracle_on_wide_pairs(seed, common, tails, wide, relation, scales):
+    # thousands of bits, so the certified chunks carry most of the prefix:
+    # a long shared prefix with diverging tails, quotients wider than a
+    # chunk, one number a convergent of the other, x == y, and pairs
+    # (g*p, g*q) scaled by a g of up to 3000 bits
+    rng = random.Random(seed)
+    head = [rng.randint(0, 3)] + _random_terms(rng, common, wide)
+    tail1 = _random_terms(rng, tails[0], wide)
+    tail2 = {"diverging": _random_terms(rng, tails[1], wide), "convergent": [], "equal": tail1}[relation]
+    x, y = _continuants(head + tail1), _continuants(head + tail2)
+    assume(x[0] > 0 and y[0] > 0)
+    g, h = (rng.getrandbits(bits) | 1 << bits for bits in scales)
+    x, y = (g * x[0], g * x[1]), (h * y[0], h * y[1])
+    want = lockstep_prefix(x, y)
+    assert _agreeing_prefix(x, y) == want
+    assert _agreeing_prefix(y, x) == want
+
+
+def _count_chunked_terms(monkeypatch) -> list[int]:
+    """A list whose last entry each certified chunk from now on adds its
+    terms to; append a 0 to start a new count."""
+    import eisenfold.limits as limits
+
+    chunked = [0]
+    certified_terms = limits._certified_terms
+
+    def counted(p, q, r, s):
+        terms, matrix = certified_terms(p, q, r, s)
+        chunked[-1] += len(terms)
+        return terms, matrix
+
+    monkeypatch.setattr(limits, "_certified_terms", counted)
+    return chunked
+
+
+def test_a_quotient_wider_than_a_chunk_costs_two_exact_steps(monkeypatch):
+    # the chunks stop at the term before the wide one, since x lies within
+    # 2^-1000 of that term's convergent; one exact step takes each of the
+    # two, and the chunks go on to where the tails part.  Were the rest
+    # left to exact Euclid, it would take a thousand terms.
+    chunked = _count_chunked_terms(monkeypatch)
+    head = [0] + [1, 2] * 500 + [2 ** 1000 + 1] + [3, 1] * 500
+    x = _continuants(head + [1] + [2, 1] * 500)
+    y = _continuants(head + [2] + [1, 2] * 500)
+    prefix = _agreeing_prefix(x, y)
+    assert prefix == head == lockstep_prefix(x, y)
+    assert len(prefix) - chunked[-1] == 2
+
+
+def _record_prefix_calls(monkeypatch, zetas) -> list[tuple]:
+    """Every (x, y, prefix, chunked) of the `_agreeing_prefix` calls that
+    eta_limit_numeric makes on the zetas under the default schedule, where
+    chunked counts the terms that certified chunks gave."""
+    import eisenfold.limits as limits
+
+    calls = []
+    chunked = _count_chunked_terms(monkeypatch)
+    agreeing_prefix = limits._agreeing_prefix
+
+    def recorded(x, y):
+        chunked.append(0)
+        prefix = agreeing_prefix(x, y)
+        calls.append((x, y, prefix[:], chunked[-1]))  # the caller trims its list
+        return prefix
+
+    monkeypatch.setattr(limits, "_agreeing_prefix", recorded)
+    for zeta in zetas:
+        try:
+            eta_limit_numeric(zeta)
+        except UndeterminedError:
+            pass
+    return calls
+
+
+def test_every_prefix_of_the_default_schedule_matches_the_lockstep_oracle(monkeypatch):
+    calls = _record_prefix_calls(monkeypatch, PLAIN_ZETAS)
+    assert len(calls) > 300
+    for x, y, prefix, _ in calls:
+        assert prefix == lockstep_prefix(x, y)
+    # the chunks give most of the terms
+    assert sum(c for *_, c in calls) > 0.9 * sum(len(prefix) for _, _, prefix, _ in calls)
+
+
+# sqrt:19 is undetermined under the default schedule, so it expands all
+# four rungs.  Per rung: the shared terms that exact Euclid on the full
+# numbers found (one-step fallbacks and the finish below 2 * _CHUNK_BITS
+# bits), and the terms that certified chunks gave.  The first rung's eta
+# have under 300 bits, so exact Euclid takes all of it; on the deeper
+# ones only the step that finds the first differing term is exact.
+SQRT19_EXACT_AND_CHUNKED = [(37, 0), (0, 132), (0, 369), (0, 1150)]
+
+
+def test_exact_euclid_takes_no_shared_term_of_a_deep_sqrt19_rung(monkeypatch):
+    calls = _record_prefix_calls(monkeypatch, [sqrt_zeta(19)])
+    counts = [(len(prefix) - chunked, chunked) for _, _, prefix, chunked in calls]
+    assert counts == SQRT19_EXACT_AND_CHUNKED
 
 
 @pytest.mark.parametrize("schedule", [((150, 150),), ((40, 60), (150, 150))])
