@@ -22,7 +22,7 @@ from .coloring import (
     to_json_dict,
 )
 from .eisenstein import DomainError, EisensteinInt
-from .jsonio import decimal_int
+from .jsonio import decimal_float, decimal_int
 from .limits import (
     DEFAULT_DEPTH_SCHEDULE,
     UndeterminedError,
@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--mode", choices=("exact", "anytime"), default="exact")
     p.add_argument("--max-nodes", type=decimal_int)
-    p.add_argument("--max-seconds", type=float)
+    p.add_argument("--max-seconds", type=decimal_float)
     p.add_argument("--threads", type=decimal_int, default=1,
                    help="worker processes (exact mode)")
     p.add_argument("--seed", type=decimal_int, default=0)
@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-rhombus", action="store_true")
     p.add_argument("--no-folds", action="store_true")
     p.add_argument("--bare", action="store_true", help="triangulation only, no coloring")
-    p.add_argument("--scale", type=float, default=40.0)
+    p.add_argument("--scale", type=decimal_float, default=40.0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_render)
 

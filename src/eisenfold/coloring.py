@@ -59,7 +59,7 @@ class GoodnessReport:
 
 def alternating_coloring(c: QuotientComplex) -> FaceColoring:
     """Checkerboard coloring by triangle orientation class; always good."""
-    colors = tuple(BLACK if o == UP else WHITE for _, _, o in c._tris)
+    colors = tuple(BLACK if o == UP else WHITE for o in c._orient)
     for f, row in enumerate(c.pairing):
         for f2, _ in row:
             if colors[f] == colors[f2]:
@@ -303,22 +303,22 @@ def monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
     """
     c = col.complex
     colors = col.colors
-    tris = c._tris
+    anchors, orient = c._anchors, c._orient
     pairing = c.pairing
     spot: list[tuple[int, int] | None] = [None] * c.face_count  # placed anchor
     shift = bytearray(c.face_count)  # placed rotation shift k
     out = []
-    for seed, (a, b, _) in enumerate(tris):
+    for seed, p in enumerate(anchors):
         if spot[seed] is not None:
             continue
         color = colors[seed]
-        spot[seed] = (a, b)
+        spot[seed] = p
         queue = [seed]
         edges = []  # boundary sides, ccw, as (start, end) plane points
         for f in queue:
             a, b = spot[f]
             row = pairing[f]
-            for da, db, ns, fs, ua, ub, va, vb in _SIDES[tris[f][2]][shift[f]]:
+            for da, db, ns, fs, ua, ub, va, vb in _SIDES[orient[f]][shift[f]]:
                 f2, s2 = row[fs]
                 if colors[f2] != color:
                     edges.append(((a + ua, b + ub), (a + va, b + vb)))

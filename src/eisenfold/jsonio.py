@@ -1,4 +1,4 @@
-"""Deterministic JSON output helpers and the strict integer reader."""
+"""Deterministic JSON output helpers and the strict number readers."""
 
 from __future__ import annotations
 
@@ -29,9 +29,26 @@ def decimal_int(text: str) -> int:
     raise DomainError(f"expected a decimal integer, got {text!r}")
 
 
+def decimal_float(text: str) -> float:
+    """The float an ASCII decimal string spells: -?[0-9]+, an optional
+    fraction .[0-9]+ and an optional exponent [eE][-+]?[0-9]+.
+
+    float() alone would also take '_' separators, surrounding spaces,
+    non-ASCII digits, 'inf' and 'nan', so input would be silently
+    reinterpreted.
+    """
+    if re.fullmatch(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", text):
+        return float(text)
+    raise DomainError(f"expected a decimal number, got {text!r}")
+
+
 def dumps(obj) -> str:
-    """Compact, key-order-preserving, byte-stable serialization."""
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    """Compact, key-order-preserving, byte-stable serialization.
+
+    Every document written here is a tree the library has just built, so
+    the encoder's circular-reference bookkeeping is skipped.
+    """
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True, check_circular=False)
 
 
 def load(path: str):

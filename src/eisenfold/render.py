@@ -48,27 +48,28 @@ def _svg(scale: float, polys, marks) -> str:
     polys are (lattice corners, fill) pairs, drawn first in one grey-stroked
     group; marks are (template, lattice points) pairs drawn after them, each
     template filled with its points' screen x and y in turn.  Coordinates
-    are written with three decimals.
+    are written with three decimals, each distinct lattice point's once.
     """
-    polys_xy = [[_xy(a, b, scale) for a, b in pts] for pts, _ in polys]
-    marks_xy = [[_xy(a, b, scale) for a, b in pts] for _, pts in marks]
-    every = [p for pts in polys_xy + marks_xy for p in pts]
+    points = {p for pts, _ in polys for p in pts}
+    points.update(p for _, pts in marks for p in pts)
+    xy = {p: _xy(*p, scale) for p in points}
     pad = scale * 0.25
-    x0 = min(x for x, _ in every) - pad
-    y0 = min(y for _, y in every) - pad
-    w = max(x for x, _ in every) - x0 + pad
-    h = max(y for _, y in every) - y0 + pad
+    x0 = min(x for x, _ in xy.values()) - pad
+    y0 = min(y for _, y in xy.values()) - pad
+    w = max(x for x, _ in xy.values()) - x0 + pad
+    h = max(y for _, y in xy.values()) - y0 + pad
+    text = {p: (f"{x - x0:.3f}", f"{y - y0:.3f}") for p, (x, y) in xy.items()}
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{w:.3f}" height="{h:.3f}" viewBox="0 0 {w:.3f} {h:.3f}">',
         '<g stroke="#888888" stroke-width="0.5">',
     ]
-    for pts, (_, fill) in zip(polys_xy, polys):
-        text = " ".join(f"{x - x0:.3f},{y - y0:.3f}" for x, y in pts)
-        out.append(f'<polygon points="{text}" fill="{fill}"/>')
+    for pts, fill in polys:
+        corners = " ".join(map(",".join, map(text.__getitem__, pts)))
+        out.append(f'<polygon points="{corners}" fill="{fill}"/>')
     out.append("</g>")
-    for pts, (template, _) in zip(marks_xy, marks):
-        out.append(template.format(*[f"{v:.3f}" for x, y in pts for v in (x - x0, y - y0)]))
+    for template, pts in marks:
+        out.append(template.format(*[v for p in pts for v in text[p]]))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -118,11 +118,14 @@ class QuotientComplex:
     face through the torus index.
 
     The complex is held in flat tables of ints and tuples of ints, which
-    the cyclic garbage collector untracks: `_tris` gives face f's anchor
-    and orientation (a, b, o), `_vpoints` and `degrees` vertex v's reduced
-    representative point and degree, `face_vertices` the ccw corners of
-    each face and `pairing` one tuple row of three (face, side) pairs per
-    face.
+    the cyclic garbage collector untracks: `_anchors` gives face f's anchor
+    (a, b), one tuple per cell anchor shared by the faces and the vertex
+    point made there, and the bytearray `_orient` its orientation;
+    `_vpoints` and `degrees` give vertex v's reduced representative point
+    and degree, `face_vertices` the ccw corners of each face and `pairing`
+    one tuple row of three (face, side) pairs per face.  `to_json_dict`
+    puts these tuples into the document as they are, so its face and
+    vertex dicts hold nothing the collector must trace.
 
     Immutable after construction, apart from the vertex -> (face, corner)
     start index that the first `vertex_star` call fills in; safe to share
@@ -199,7 +202,8 @@ class QuotientComplex:
         # torus faces 2i + o of each anchor, and its vertex i, join rotation
         # orbits of exactly 3 members; the first member met is the least.
         cols = list(columns(cell(delta, 1), 1, 0, CELL_OPEN_SIDES))
-        tris: list[tuple[int, int, int]] = []
+        anchor_pts: list[tuple[int, int]] = []  # each face's anchor (a, b)
+        orient = bytearray()  # each face's orientation
         anchor_of: list[int] = []  # index of each face's anchor
         anchors = 0
         for a, lo, hi in cols:
@@ -211,9 +215,10 @@ class QuotientComplex:
                     )
                     raise AssertionError(f"anchors {first} and {(a, b)} share torus index {i}")
                 seen[i] = 1
+                p = (a, b)
                 if orbit_of[i] < 0:
                     orbit_of[i] = orbit_of[r1] = orbit_of[r2] = i
-                    point_at[i] = (a, b)
+                    point_at[i] = p
                 for o in (UP, DOWN):
                     t0 = 2 * i + o
                     if face_of[t0] >= 0:
@@ -228,16 +233,17 @@ class QuotientComplex:
                         raise AssertionError(f"degenerate rotation orbit at {(a, b, o)}")
                     # k = rotation applications carrying a member onto the
                     # representative; side labels shift by +k under each
-                    face_of[t0] = face_of[t1] = face_of[t2] = len(tris)
+                    face_of[t0] = face_of[t1] = face_of[t2] = len(orient)
                     shift_of[t1], shift_of[t2] = 2, 1
-                    tris.append((a, b, o))
+                    anchor_pts.append(p)
+                    orient.append(o)
                     anchor_of.append(i)
                 i, r1, r2 = U[i], L[r1], D[R[r2]]
             anchors += hi - lo + 1
         if anchors != n:
             raise AssertionError(f"found {anchors} anchors, expected {n}")
         self._face_of = face_of
-        self.face_count = len(tris)
+        self.face_count = len(orient)
         if self.face_count != 2 * self.beta.norm():
             raise AssertionError("face count must be 2*norm(beta)")
 
@@ -248,7 +254,7 @@ class QuotientComplex:
         face_vertices: list[tuple[int, int, int]] = []
         vpoints: list[tuple[int, int]] = []
         degrees: list[int] = []
-        for (_, _, o), i in zip(tris, anchor_of):
+        for o, i in zip(orient, anchor_of):
             if o == UP:
                 t0, t1, t2 = 2 * D[i] + 1, 2 * i + 1, 2 * L[i] + 1
                 corners = (i, R[i], U[i])
@@ -285,7 +291,8 @@ class QuotientComplex:
             raise AssertionError("edge pairing is not a free involution")
         self.pairing = pairing
         self.face_vertices = face_vertices
-        self._tris = tris
+        self._anchors = anchor_pts
+        self._orient = orient
         self._vpoints = vpoints
         self.degrees = degrees
         self.vertex_count = len(vpoints)
@@ -367,23 +374,27 @@ class QuotientComplex:
         # coordinates fit 64 bits when the cell's corners do
         if any(jint(v) != v for corner in cell(self.delta, 1) for v in corner):
             raise AssertionError("fundamental cell exceeds 64-bit coordinates")
+        # tuples, which json writes as arrays: the face and vertex dicts
+        # then hold only untracked objects, so the collector skips them.
+        # Each pair of sides is written once, from its lesser face: a side
+        # joins an up face to a down face, so its two faces differ.
         return {
             "schema": "complex.v1",
             "beta": [jint(self.beta.a), jint(self.beta.b)],
             "delta": [jint(self.delta.a), jint(self.delta.b)],
             "faces": [
-                {"anchor": [a, b], "orientation": _ORIENT_NAMES[o]}
-                for a, b, o in self._tris
+                {"anchor": p, "orientation": _ORIENT_NAMES[o]}
+                for p, o in zip(self._anchors, self._orient)
             ],
             "pairing": [
-                [f, s, f2, s2]
+                (f, s, f2, s2)
                 for f, row in enumerate(self.pairing)
                 for s, (f2, s2) in enumerate(row)
-                if 3 * f + s < 3 * f2 + s2
+                if f < f2
             ],
             "vertices": [
-                {"degree": d, "representative_lattice_point": [x, y]}
-                for (x, y), d in zip(self._vpoints, self.degrees)
+                {"degree": d, "representative_lattice_point": p}
+                for p, d in zip(self._vpoints, self.degrees)
             ],
         }
 

@@ -37,6 +37,7 @@ from eisenfold.flower import (
     cf_fold_count,
 )
 from eisenfold.isoperimetric import SpecialHexagon
+from eisenfold.jsonio import jint
 from eisenfold.limits import _convergents
 from eisenfold.render import _FILL, _xy
 from eisenfold.search import IeSweepReport, iter_good_colorings
@@ -54,9 +55,9 @@ from eisenfold.surface import (
 
 
 # ---------------------------------------------------------------------------
-# Plane triangles as objects.  The library names a face by the row (a, b, o)
-# of `QuotientComplex._tris` and finds the face of any plane triangle with
-# `face_at`.
+# Plane triangles as objects.  The library names a face by its anchor (a, b)
+# in `QuotientComplex._anchors` and its orientation in `_orient`, and finds
+# the face of any plane triangle with `face_at`.
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +78,7 @@ def lift(c: QuotientComplex, face: int) -> PlaneTriangleId:
     """The canonical planar representative of a face (section of project)."""
     if not 0 <= face < c.face_count:
         raise DomainError(f"no such face {face}")
-    a, b, o = c._tris[face]
+    (a, b), o = c._anchors[face], c._orient[face]
     return PlaneTriangleId(EisensteinInt(a, b), o)
 
 
@@ -999,8 +1000,8 @@ def box_scan_render_svg(spec) -> str:
 
 
 def divmod_build(beta: EisensteinInt) -> dict:
-    """The complex's tables by attribute name: `_tris`, `pairing`,
-    `face_vertices`, `_vpoints`, `degrees` and `_face_of`."""
+    """The complex's tables by attribute name: `_anchors`, `_orient`,
+    `pairing`, `face_vertices`, `_vpoints`, `degrees` and `_face_of`."""
     beta = canonical(beta)
     delta = EisensteinInt(2, -1) * beta
     d1, d2 = delta.a, delta.b
@@ -1076,6 +1077,38 @@ def divmod_build(beta: EisensteinInt) -> dict:
             assert pairing[j][s2] == (i, s) and (j, s2) != (i, s), "pairing is not a free involution"
     assert len(vpoints) == beta.norm() + 2
     return {
-        "_tris": tris, "pairing": pairing, "face_vertices": face_vertices,
+        "_anchors": [(a, b) for a, b, _ in tris], "_orient": bytearray(o for *_, o in tris),
+        "pairing": pairing, "face_vertices": face_vertices,
         "_vpoints": vpoints, "degrees": degrees, "_face_of": face_of,
+    }
+
+
+# ---------------------------------------------------------------------------
+# The complex.v1 document built from fresh lists and dicts, pairing rows
+# chosen by comparing 3f + s.
+
+
+def complex_json_dict(c: QuotientComplex) -> dict:
+    """Reference for `QuotientComplex.to_json_dict`: every face, pairing row
+    and vertex its own new list or dict."""
+    if any(jint(v) != v for corner in cell(c.delta, 1) for v in corner):
+        raise AssertionError("fundamental cell exceeds 64-bit coordinates")
+    return {
+        "schema": "complex.v1",
+        "beta": [jint(c.beta.a), jint(c.beta.b)],
+        "delta": [jint(c.delta.a), jint(c.delta.b)],
+        "faces": [
+            {"anchor": [a, b], "orientation": ("up", "down")[o]}
+            for (a, b), o in zip(c._anchors, c._orient)
+        ],
+        "pairing": [
+            [f, s, f2, s2]
+            for f, row in enumerate(c.pairing)
+            for s, (f2, s2) in enumerate(row)
+            if 3 * f + s < 3 * f2 + s2
+        ],
+        "vertices": [
+            {"degree": d, "representative_lattice_point": [x, y]}
+            for (x, y), d in zip(c._vpoints, c.degrees)
+        ],
     }

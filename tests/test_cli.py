@@ -421,6 +421,28 @@ def test_integers_are_read_strictly(capsys, argv):
     _assert_one_error_line(capsys, cli_main(argv))
 
 
+# float() would read each of these as 40 or 10, silently
+@pytest.mark.parametrize("argv", [
+    ["render", "--beta", "1,2", "--scale", "4_0"],
+    ["render", "--beta", "1,2", "--scale", " 40 "],
+    ["render", "--beta", "1,2", "--scale", "\u0664\u0660"],
+    ["render", "--flower", "3/7", "--scale", "+40"],
+    ["render", "--flower", "3/7", "--scale", "40."],
+    ["search", "--beta", "1,2", "--max-seconds", "1_0"],
+    ["search", "--beta", "1,2", "--max-seconds", " 10"],
+    ["search", "--beta", "1,2", "--max-seconds", "\u0661\u0660"],
+])
+def test_decimals_are_read_strictly(capsys, argv):
+    _assert_one_error_line(capsys, cli_main(argv))
+
+
+@pytest.mark.parametrize("scale", ["40", "40.0", "4e1", "400E-1"])
+def test_decimal_scales_are_still_read(capsys, scale):
+    code, out = run(capsys, "render", "--beta", "1,2", "--scale", scale)
+    assert code == 0
+    assert out == eisenfold.render_svg(eisenfold.RenderSpec(beta=eisenfold.EisensteinInt(1, 2)))
+
+
 def test_negative_integers_are_still_read(capsys):
     code, out = run(capsys, "build", "--beta", "2,-3")
     assert code == 0 and json.loads(out)["beta"] == [1, 2]  # the orbit representative

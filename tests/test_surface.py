@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import math
 import random
 from math import gcd
@@ -16,7 +17,7 @@ from eisenfold.surface import (
     build_complex,
     columns,
 )
-from oracles import PlaneTriangleId, divmod_build, lift, project
+from oracles import PlaneTriangleId, complex_json_dict, divmod_build, lift, project
 
 
 def plane_neighbor(anchor: tuple[int, int], orientation: int, side: int):
@@ -147,7 +148,7 @@ def test_project_section_and_invariance():
 
 def test_lift_rejects_faces_out_of_range():
     c = build_complex(EisensteinInt(2, 3))
-    a, b, o = c._tris[-1]
+    (a, b), o = c._anchors[-1], c._orient[-1]
     assert lift(c, c.face_count - 1) == PlaneTriangleId(EisensteinInt(a, b), o)
     for f in (-1, c.face_count, 10**6):
         with pytest.raises(DomainError):
@@ -242,6 +243,10 @@ COMPLEX_PINS = {
     (3, 6): "a87765d0bc6360389ba6ce00f2d956f7a240f769e1e6a76e7b1c84ebd5abb28e",
     (8, 13): "d04770586acf62ae0e4d5aa44ccf4a170b0a033cbddf65934c77f87103e791e5",
     (-3, 5): "c5d7e389d7c5cd8d0ee9bcea408ede11f8dcb247c821860cac252828522db844",
+    # the benchmark-sized shapes, h2 = 3 and h2 = 1, recorded before the
+    # document was built from the complex's own tuples
+    (56, 89): "24560f8c14cef46a5333b763f15d66c40021223080987a79b4c21aabbd030afe",
+    (3, 125): "0faf556402ec2a22d31419990670d50b54affea71cdda7c42fbf51f3a216e58f",
 }
 
 
@@ -301,7 +306,7 @@ def test_face_at_matches_reduction_oracle(beta, h2):
     c = build_complex(EisensteinInt(*beta))
     assert c._h2 == h2 and c._h1 * c._h2 == c.delta.norm()
     face, reps = _face_map_by_reduction(c)
-    assert c._tris == reps
+    assert [(a, b, o) for (a, b), o in zip(c._anchors, c._orient)] == reps
     rng = random.Random(0)
     R = 3 * (abs(c.delta.a) + abs(c.delta.b)) + 4
     for _ in range(2000):
@@ -400,7 +405,8 @@ def _build_by_box_scan(beta: EisensteinInt) -> dict:
             ids.append(v)
         face_vertices.append(tuple(ids))
     return {
-        "_tris": [(t.anchor.a, t.anchor.b, t.orientation) for t in faces],
+        "_anchors": [(t.anchor.a, t.anchor.b) for t in faces],
+        "_orient": bytearray(t.orientation for t in faces),
         "pairing": pairing, "face_vertices": face_vertices,
         "_vpoints": vpoints, "degrees": degrees,
         "_face_of": face_of, "_h1": h1, "_h2": h2, "_va": va,
@@ -456,13 +462,32 @@ def test_golden_sequence_leaves_no_per_face_objects():
     gc.collect()
     assert not any(gc.is_tracked(row) for row in c.pairing)
     assert not any(gc.is_tracked(ids) for ids in c.face_vertices)
+    assert not any(gc.is_tracked(p) for p in c._anchors)
+    assert not any(gc.is_tracked(p) for p in c._vpoints)
+    # the faces made at one cell anchor share its tuple
+    assert len({id(p) for p in c._anchors}) < c.face_count
     assert set(vars(c)) == {
         "beta", "delta", "face_count", "vertex_count", "_h1", "_h2", "_va",
-        "_face_of", "_tris", "_vpoints", "pairing", "face_vertices", "degrees",
+        "_face_of", "_anchors", "_orient", "_vpoints", "pairing", "face_vertices",
+        "degrees",
     }
 
+    # a dict holding only untracked objects stays untracked, so the
+    # document's face and vertex dicts give the collector nothing to trace
+    probe = tuple([1, 2])
+    gc.collect()
+    if gc.is_tracked({"k": probe}):
+        pytest.skip("this interpreter tracks a dict holding only an untracked tuple")
+    doc = c.to_json_dict()
+    assert not any(gc.is_tracked(face) for face in doc["faces"])
+    assert not any(gc.is_tracked(vertex) for vertex in doc["vertices"])
 
-_DIVMOD_FIELDS = ("_tris", "pairing", "face_vertices", "_vpoints", "degrees", "_face_of")
+
+@pytest.mark.parametrize("beta", _CANONICAL_NORM_150 + [(4, -1), (-3, 5), (2, 4), (3, 3)])
+def test_complex_json_matches_list_building_reference(beta):
+    c = build_complex(EisensteinInt(*beta))
+    want = json.dumps(complex_json_dict(c), separators=(",", ":"))
+    assert jsonio.dumps(c.to_json_dict()) == want
 
 
 def _assert_matches_divmod_build(beta):
