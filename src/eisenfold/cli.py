@@ -169,7 +169,6 @@ def _cmd_search(args) -> int:
         mode=args.mode,
         budget=budget,
         threads=args.threads,
-        seed=args.seed,
         checkpoint_out=args.checkpoint_out,
         resume=args.resume,
     )
@@ -309,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seconds", type=decimal_float)
     p.add_argument("--threads", type=decimal_int, default=1,
                    help="worker processes (exact mode)")
-    p.add_argument("--seed", type=decimal_int, default=0)
     p.add_argument("--checkpoint-out")
     p.add_argument("--resume")
     p.add_argument("--timing", action="store_true", help="include wall_time in JSON")

@@ -134,6 +134,31 @@ def continued_fraction_coloring(
     return paint_from_flower(cf, c)
 
 
+def scaled_coloring(col: FaceColoring, c: QuotientComplex) -> FaceColoring:
+    """col, a coloring of T(beta'), drawn on c = T(k beta') for an integer
+    k >= 1: each face takes the color of the T(beta') triangle that holds
+    its centroid once the plane is shrunk by k.  Goodness and balance carry
+    over, and every fold of col becomes k folds.
+
+    Face (a, b, o) has the tripled centroid (3a + 1 + o, 3b + 1 + o).
+    divmod by 3k gives the anchor of the T(beta') cell holding it and the
+    offsets rx, ry in that cell; the triangle is down when rx + ry > 3k.
+    Neither offset nor their sum is a multiple of 3, so no centroid lies
+    on a side.
+    """
+    small = col.complex
+    k = c.beta.b // small.beta.b  # a canonical beta has b >= 1
+    if k < 1 or c.beta != EisensteinInt(k * small.beta.a, k * small.beta.b):
+        raise DomainError(f"beta {c.beta} is not a positive integer multiple of {small.beta}")
+    colors, face_at, n = col.colors, small.face_at, 3 * k
+    out = []
+    for (a, b), o in zip(c._anchors, c._orient):
+        x, rx = divmod(3 * a + 1 + o, n)
+        y, ry = divmod(3 * b + 1 + o, n)
+        out.append(colors[face_at(x, y, DOWN if rx + ry > n else UP)])
+    return FaceColoring(c, tuple(out))
+
+
 def is_good(col: FaceColoring) -> GoodnessReport:
     """Mod-3 balance of black and white around every vertex, with mod-6 flag."""
     # x[v] = black minus white corners at v

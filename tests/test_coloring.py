@@ -24,10 +24,12 @@ from eisenfold.coloring import (
     is_good,
     monochrome_regions,
     paint_from_flower,
+    scaled_coloring,
     to_json_dict,
     vertex_four_coloring,
 )
 from eisenfold.flower import BLACK, WHITE, capped_flower, cf_fold_count
+from eisenfold.isoperimetric import region_isoperimetric_check
 from eisenfold.search import swappable_vertices, vertex_swap
 from eisenfold.surface import QuotientComplex, build_complex
 from oracles import (
@@ -87,6 +89,35 @@ def test_continued_fraction_coloring_rejections():
         continued_fraction_coloring(EisensteinInt(0, 1))
     with pytest.raises(DomainError):
         continued_fraction_coloring(EisensteinInt(1, 0))  # canonical (0,1)
+
+
+_NORM_19 = [(a, b) for b in range(1, 5) for a in range(b + 1) if a * a + a * b + b * b <= 19]
+
+
+@pytest.mark.parametrize("beta", _NORM_19)
+def test_scaled_colorings_are_good_balanced_and_k_times_the_folds(beta):
+    small = build_complex(EisensteinInt(*beta))
+    cols = [alternating_coloring(small)]
+    if beta[0] >= 1 and gcd(*beta) == 1:
+        cols.append(continued_fraction_coloring(small.beta, small))
+    for k in range(1, 5):
+        c = build_complex(EisensteinInt(k * beta[0], k * beta[1]))
+        for col in cols:
+            scaled = scaled_coloring(col, c)
+            assert is_good(scaled).good
+            assert color_balance(scaled) == (c.face_count // 2, c.face_count // 2)
+            assert fold_count(scaled) == k * fold_count(col)
+            assert region_isoperimetric_check(scaled).eta_lower_bound_holds
+        if k == 1:
+            assert [scaled_coloring(col, c).colors for col in cols] == [col.colors for col in cols]
+
+
+@pytest.mark.parametrize("small, big", [((1, 2), (2, 3)), ((1, 2), (2, 5)), ((2, 4), (1, 2)),
+                                        ((0, 1), (1, 1)), ((1, 1), (0, 3))])
+def test_scaled_coloring_needs_an_integer_multiple(small, big):
+    col = alternating_coloring(build_complex(EisensteinInt(*small)))
+    with pytest.raises(DomainError, match="not a positive integer multiple"):
+        scaled_coloring(col, build_complex(EisensteinInt(*big)))
 
 
 def test_painting_agrees_with_color_at_exhaustively_b_le_13():

@@ -9,7 +9,6 @@ from math import gcd
 import pytest
 
 from eisenfold.coloring import (
-    FaceColoring,
     alternating_coloring,
     continued_fraction_coloring,
     fold_count,
@@ -36,7 +35,6 @@ from eisenfold.search import (
     _initial_incumbent,
     _replay,
     _solve,
-    _star_table,
 )
 from eisenfold.surface import build_complex
 
@@ -120,22 +118,26 @@ def _swappable_by_scan(col):
 
 
 def test_incremental_star_swaps_match_recomputation():
+    # a seeded walk through vertex_swap: each step flips exactly the star,
+    # moves the fold count by the star's sides to outside faces, keeps the
+    # coloring good and leaves swappable_vertices equal to the face scan
     c = build_complex(EisensteinInt(8, 13))
-    stars = _star_table(c)
     rng = random.Random(13)
-    colors = list(alternating_coloring(c).colors)
-    options = stars.swappable(colors)
-    folds = fold_count(FaceColoring(c, tuple(colors)))
+    col = alternating_coloring(c)
+    folds = fold_count(col)
     for _ in range(200):
+        options = swappable_vertices(col)
+        assert options == _swappable_by_scan(col)
         v = rng.choice(options)
-        folds += stars.fold_delta(colors, v)
-        before = FaceColoring(c, tuple(colors))
-        stars.swap(colors, v, options)
-        col = FaceColoring(c, tuple(colors))
-        assert col.colors == vertex_swap(before, v).colors
-        assert options == swappable_vertices(col) == _swappable_by_scan(col)
+        star = c.vertex_star(v)
+        folds += sum(1 if col.colors[f] == col.colors[g] else -1
+                     for f in star for g, _ in c.pairing[f] if g not in star)
+        after = vertex_swap(col, v)
+        assert [f for f in range(c.face_count) if after.colors[f] != col.colors[f]] == sorted(star)
+        col = after
         assert folds == fold_count(col)
-    assert is_good(col).good
+        assert is_good(col).good
+    assert swappable_vertices(col) == _swappable_by_scan(col)
 
 
 # (nodes_explored, best coloring) of the serial exact search; a change to the
@@ -296,6 +298,23 @@ def test_anytime_beats_cf_coloring_on_1_5():
     assert baseline == 43
     rep = min_fold_search(c, mode="anytime", budget=SearchBudget(max_seconds=30))
     assert rep.best_fold < baseline
+
+
+def test_anytime_deadline_bounds_the_whole_run():
+    # the deadline bounds the whole run, seeds, walk and final checks
+    c = build_complex(EisensteinInt(8, 13))
+    rep = min_fold_search(c, mode="anytime", budget=SearchBudget(10_000_000, 0.3))
+    assert rep.wall_time < 0.8
+    assert rep.status == "Incumbent"
+
+
+# the walk from the scaled seed g * f(beta/g): 42 = 6 * 7 on (6, 6) and
+# 39 = 3 * 13 on (3, 6); the alternating seed alone gives 324 and 189
+@pytest.mark.parametrize("beta, most", [((6, 6), 42), ((3, 6), 39)])
+def test_anytime_walks_from_the_scaled_seed(beta, most):
+    rep = min_fold_search(build_complex(EisensteinInt(*beta)), mode="anytime")
+    assert rep.best_fold <= most
+    assert rep.nodes_explored == 300_000
 
 
 def test_search_json_shape():
