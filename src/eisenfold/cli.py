@@ -68,7 +68,9 @@ def _cmd_build(args) -> int:
 
 def _cmd_color(args) -> int:
     beta = _parse_beta(args.beta)
-    col = continued_fraction_coloring(beta, swap=args.swap, fill_phase=args.fill_phase)
+    col = continued_fraction_coloring(beta, fill_phase=args.fill_phase)
+    if args.swap:
+        col = col.swapped()
     _emit(jsonio.dumps(to_json_dict(col)), args.out)
     return 0
 

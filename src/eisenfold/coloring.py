@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from operator import add
 
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
@@ -70,10 +69,11 @@ def alternating_coloring(c: QuotientComplex) -> FaceColoring:
 def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
     """Project the flower's plane coloring onto the quotient faces.
 
-    Every region of one fundamental cell is painted onto its member
-    triangles; each quotient face must be claimed exactly three times (its
-    three rotation copies) with a consistent color, which simultaneously
-    audits the tile partition and the rotation invariance.
+    The flower yields one alpha^2-rotation class of its tile; each region
+    is painted onto its member triangles, and each quotient face must be
+    painted exactly once.  A face's three tile copies are turns of one
+    another, so this audits the tile partition and the rotation invariance
+    as painting the whole tile three times in one color would.
 
     A convex quad's triangles (a, b, o) are those whose tripled centroids
     (3a + 1 + o, 3b + 1 + o) it contains, listed by `columns`; no centroid
@@ -85,40 +85,34 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
     the least x-extent (the earliest on a tie): the fewest columns, so a
     long thin trapezoid is scanned along its length.  The turn is in the
     quotient's symmetry group and keeps orientation, so each turned
-    triangle is a copy of the same face and every face's hit counts, hence
-    the colors and the audit, are unchanged.
+    triangle is a copy of the same face.
     """
-    F = c.face_count
-    hits = {WHITE: [0] * F, BLACK: [0] * F}  # times each face is painted each color
+    colors = [-1] * c.face_count
     for kind, data, color in cf.regions():
-        painted = hits[color]
         if kind == "fill":
             x, y = data
             o = UP if x % 3 == 1 else DOWN  # tripled centroid 3z + (1 + o)(1 + alpha)
-            painted[c.face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o)] += 1
-            continue
-        turned = [(-x - y, x) for x, y in data]
-        quad = min(
-            (data, turned, [(-x - y, x) for x, y in turned]),
-            key=lambda q: max(x for x, _ in q) - min(x for x, _ in q),
-        )
-        for o in (UP, DOWN):
-            for a, lo, hi in columns(quad, 3, 1 + o):
-                for f in c.column_faces(a, lo, hi, o):
-                    painted[f] += 1
-    white, black = hits[WHITE], hits[BLACK]
-    for f, (w, b) in enumerate(zip(white, black)):
-        if w and b:
-            raise AssertionError(f"inconsistent paint on face {f}")
-    if list(map(add, white, black)) != [3] * F:
-        raise AssertionError("tile partition did not cover each face exactly 3 times")
-    return FaceColoring(c, tuple(BLACK if b else WHITE for b in black))
+            faces = (c.face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o),)
+        else:
+            turned = [(-x - y, x) for x, y in data]
+            quad = min(
+                (data, turned, [(-x - y, x) for x, y in turned]),
+                key=lambda q: max(x for x, _ in q) - min(x for x, _ in q),
+            )
+            faces = [f for o in (UP, DOWN) for a, lo, hi in columns(quad, 3, 1 + o)
+                     for f in c.column_faces(a, lo, hi, o)]
+        for f in faces:
+            if colors[f] >= 0:
+                raise AssertionError(f"face {f} painted twice")
+            colors[f] = color
+    if -1 in colors:
+        raise AssertionError(f"face {colors.index(-1)} not painted")
+    return FaceColoring(c, tuple(colors))
 
 
 def continued_fraction_coloring(
     beta: EisensteinInt,
     c: QuotientComplex | None = None,
-    swap: bool = False,
     fill_phase: int = 0,
 ) -> FaceColoring:
     """The quotient of the capped-flower plane coloring; good by construction."""
@@ -130,7 +124,7 @@ def continued_fraction_coloring(
         raise DomainError("complex does not belong to beta")
     if c.beta.a < 1:
         raise DomainError(f"degenerate beta {c.beta}: the flower needs 1 <= a <= b")
-    cf = capped_flower(c.beta, swap=swap, fill_phase=fill_phase)
+    cf = capped_flower(c.beta, fill_phase=fill_phase)
     return paint_from_flower(cf, c)
 
 
@@ -213,30 +207,23 @@ _THIRD = {(p, q, t): k for (k, p, q), t in _PARITY.items()}
 _THIRD.update({(p, p, t): p for p in range(4) for t in (1, -1)})
 
 
-def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) -> list[int]:
+def vertex_four_coloring(col: FaceColoring) -> list[int]:
     """Proper vertex 4-coloring whose orientation classes reproduce col.
 
     Walking ccw around a black face reads an even permutation of its three
     colors, around a white face an odd one.  Propagation is deterministic
-    BFS from `base`; a contradiction means the input was not good.
+    BFS from face 0, whose first corner, vertex 0, takes color 0; a
+    contradiction means the input was not good.
     """
     report = is_good(col)
     if not report.good:
         raise GoodnessError(f"coloring is not good at vertices {report.violations[:6]}")
-    if not 0 <= base_color <= 3:
-        raise DomainError("base_color must be in 0..3")
     c = col.complex
-    if not 0 <= base < c.vertex_count:
-        raise DomainError(f"no such vertex {base}")
     target = [1 if x == BLACK else -1 for x in col.colors]
     vcolor = [-1] * c.vertex_count
 
-    f0 = min(f for f, ids in enumerate(c.face_vertices) if base in ids)
-    ids = c.face_vertices[f0]
-    k = ids.index(base)
-    v0, v1, v2 = ids[k], ids[(k + 1) % 3], ids[(k + 2) % 3]
-    vcolor[v0] = base_color
-    vcolor[v1] = (base_color + 1) % 4
+    v0, v1, _ = c.face_vertices[0]
+    vcolor[v0], vcolor[v1] = 0, 1
 
     # BFS over faces; a face with one uncolored corner gets the unused
     # color of its orientation parity from _THIRD.  Rotating the corners so
@@ -244,8 +231,8 @@ def vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) 
     # final loop checks every face.
     face_vertices = c.face_vertices
     seen = [False] * c.face_count
-    seen[f0] = True
-    queue = [f0]
+    seen[0] = True
+    queue = [0]
     for f in queue:
         a, b, cc = face_vertices[f]
         x, y, z = vcolor[a], vcolor[b], vcolor[cc]

@@ -14,10 +14,10 @@ half-plane arithmetic in the (1, alpha) basis, and triangles are classified
 by their tripled centroids, which never land on region boundaries.
 
 A flower holds each necklace level once and checks none of its geometry
-when built: the necklace and nesting incidences are test oracles, and
-every coloring made from a flower passes the exact-cover audit of
-coloring.paint_from_flower, which rejects a tile that misses or repeats a
-triangle.
+when built: the necklace and nesting incidences are test oracles.  It
+yields one alpha^2-rotation class of its tile, and every coloring made
+from a flower passes the exact-cover audit of coloring.paint_from_flower,
+which rejects a class that misses or repeats a quotient face.
 """
 
 from __future__ import annotations
@@ -155,33 +155,33 @@ class CappedFlower:
     _caps: tuple          # six cap quads, tripled
 
     def regions(self):
-        """All paint regions of one fundamental cell.
+        """One alpha^2-rotation class of the tile's paint regions.
 
-        Yields ("quad", quad_tripled, color) for necklace trapezoids,
-        outermost level first, and the three cap parallelogram classes, plus
-        ("fill", centroid, color) for the six central triangles.  Painting
-        these covers every translation class of the plane exactly once.
+        Yields ("quad", quad_tripled, color) for slots 0 and 1 of each
+        necklace level, outermost level first, then for cap 0, and
+        ("fill", centroid, color) for the central triangles (1, 1) up and
+        (-1, 2) down.  Slot s + 2 is the alpha^2 turn of slot s, and the
+        other caps and fills are turns of these, so painting them covers
+        every face of the quotient exactly once.
         """
         for n, color in zip(self.necklaces, self.necklace_colors):
-            for t in n.trapezoids:
+            for t in n.trapezoids[:2]:
                 yield ("quad", t.quad_tripled(), color)
-        for k in range(3):
-            yield ("quad", self._caps[k], self.cap_color)
-        for c3, color in sorted(self.fill_colors.items()):
-            yield ("fill", c3, color)
+        yield ("quad", self._caps[0], self.cap_color)
+        for c3 in (_FILL_UP[0], _FILL_DOWN[0]):
+            yield ("fill", c3, self.fill_colors[c3])
 
 
 def fill_and_cap(
     flower: list[tuple[Necklace, int]],
     beta: EisensteinInt,
-    swap: bool = False,
     fill_phase: int = 0,
 ) -> CappedFlower:
     """Fill the six central triangles and cap the convex hull of the flower.
 
     The fill alternates around the center (phase picks which of the two
     alternations); cap triangles take the color opposite the outermost
-    necklace.  swap inverts every color, which changes nothing measurable.
+    necklace.
     """
     a, b = beta.a, beta.b
     if gcd(a, b) != 1 or not (1 <= a <= b):
@@ -189,12 +189,9 @@ def fill_and_cap(
     if flower[0][0].aspect != Fraction(a, b):
         raise DomainError("flower aspect does not match beta")
 
-    def col(c: int) -> int:
-        return c if not swap else 1 - c
-
     necklaces = tuple(n for n, _ in flower)
-    necklace_colors = tuple(col(c) for _, c in flower)
-    up_color = col(BLACK if fill_phase == 0 else WHITE)
+    necklace_colors = tuple(c for _, c in flower)
+    up_color = BLACK if fill_phase == 0 else WHITE
     fill_colors = {p: up_color for p in _FILL_UP}
     fill_colors.update({p: 1 - up_color for p in _FILL_DOWN})
     cap_color = 1 - necklace_colors[0]
@@ -218,7 +215,7 @@ def fill_and_cap(
     )
 
 
-def capped_flower(beta: EisensteinInt, swap: bool = False, fill_phase: int = 0) -> CappedFlower:
+def capped_flower(beta: EisensteinInt, fill_phase: int = 0) -> CappedFlower:
     """Build the full template for a canonical primitive beta with 1 <= a <= b.
 
     Any other beta raises DomainError: empty_flower rejects an aspect a/b
@@ -226,7 +223,7 @@ def capped_flower(beta: EisensteinInt, swap: bool = False, fill_phase: int = 0) 
     aspect, so no flower is built and fill_and_cap rejects beta.
     """
     flower = empty_flower(Fraction(beta.a, beta.b)) if beta.b else []
-    return fill_and_cap(flower, beta, swap, fill_phase)
+    return fill_and_cap(flower, beta, fill_phase)
 
 
 def _maximal_runs(necklaces) -> list[tuple[int, int]]:

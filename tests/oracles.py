@@ -476,20 +476,40 @@ def color_at(cf: CappedFlower, tri: PlaneTriangleId) -> int:
     return classify(cf, cx, cy)
 
 
+def tile_regions(cf: CappedFlower, swap: bool = False):
+    """All paint regions of the whole hexagonal tile, three times what
+    `CappedFlower.regions` yields: each quotient face has one copy per turn
+    by alpha^2 about 0.
+
+    Yields ("quad", quad_tripled, color) for necklace trapezoids, outermost
+    level first, and the three cap parallelogram classes, plus ("fill",
+    centroid, color) for the six central triangles.  Painting these covers
+    every translation class of the plane exactly once.  swap inverts every
+    color.
+    """
+    for n, color in zip(cf.necklaces, cf.necklace_colors):
+        for t in n.trapezoids:
+            yield ("quad", t.quad_tripled(), color ^ swap)
+    for k in range(3):
+        yield ("quad", cf._caps[k], cf.cap_color ^ swap)
+    for c3, color in sorted(cf.fill_colors.items()):
+        yield ("fill", c3, color ^ swap)
+
+
 # ---------------------------------------------------------------------------
 # Counts read off the capped flower's regions and necklaces, for comparison
 # with the norm of beta and the continued fraction of its aspect.
 
 
-def triangle_count(cf: CappedFlower) -> int:
-    """Unit triangles the flower's regions cover, by the shoelace formula.
+def triangle_count(regions) -> int:
+    """Unit triangles that paint regions cover, by the shoelace formula.
 
     In the (1, alpha) basis a unit triangle has doubled area 1, so a quad
     in tripled coordinates covers its doubled area / 9 triangles; a fill
     region is one triangle.
     """
     total = 0
-    for kind, data, _ in cf.regions():
+    for kind, data, _ in regions:
         if kind == "fill":
             total += 9
             continue
@@ -685,28 +705,27 @@ def parity(x: int, y: int, z: int) -> int:
     return perm_sign((x, y, z, 6 - x - y - z))
 
 
-def reference_vertex_four_coloring(col: FaceColoring, base: int = 0, base_color: int = 0) -> list[int]:
+def reference_vertex_four_coloring(col: FaceColoring) -> list[int]:
     """Proper vertex 4-coloring whose orientation classes reproduce col.
 
     Walking ccw around a black face reads an even permutation of its three
     colors, around a white face an odd one.  Propagation is deterministic
-    BFS from `base`; a contradiction means the input was not good.
+    BFS from the least face at vertex 0, which takes color 0; a
+    contradiction means the input was not good.
     """
     report = reference_is_good(col)
     if not report.good:
         raise GoodnessError(f"coloring is not good at vertices {report.violations[:6]}")
-    if not 0 <= base_color <= 3:
-        raise DomainError("base_color must be in 0..3")
     c = col.complex
     target = [1 if x == BLACK else -1 for x in col.colors]
     vcolor = [-1] * c.vertex_count
 
-    f0 = min(f for f, ids in enumerate(c.face_vertices) if base in ids)
+    f0 = min(f for f, ids in enumerate(c.face_vertices) if 0 in ids)
     ids = c.face_vertices[f0]
-    k = ids.index(base)
+    k = ids.index(0)
     v0, v1, v2 = ids[k], ids[(k + 1) % 3], ids[(k + 2) % 3]
-    vcolor[v0] = base_color
-    vcolor[v1] = (base_color + 1) % 4
+    vcolor[v0] = 0
+    vcolor[v1] = 1
 
     def force_third(f: int) -> bool:
         """Fill the single missing corner of f; returns False if untouched."""

@@ -42,6 +42,18 @@ def test_color_fold_23(capsys):
     assert doc["good"] is True
 
 
+@pytest.mark.parametrize("beta", ["2,3", "1,29", "8,13"])
+@pytest.mark.parametrize("phase", ["0", "1"])
+def test_color_swap_inverts_every_color(capsys, beta, phase):
+    _, plain = run(capsys, "color", "--beta", beta, "--fill-phase", phase)
+    _, swapped = run(capsys, "color", "--beta", beta, "--fill-phase", phase, "--swap")
+    plain, swapped = json.loads(plain), json.loads(swapped)
+    flip = {"0": "1", "1": "0"}
+    assert swapped["colors"] == "".join(flip[ch] for ch in plain["colors"])
+    assert (swapped["fold_count"], swapped["eta"]) == (plain["fold_count"], plain["eta"])
+    assert swapped["good"] is plain["good"] is True
+
+
 def test_color_domain_error(capsys):
     code, _ = run(capsys, "color", "--beta", "2,4")
     assert code == 1

@@ -39,6 +39,7 @@ from oracles import (
     reference_is_good,
     reference_monochrome_regions,
     reference_vertex_four_coloring,
+    tile_regions,
 )
 
 
@@ -144,8 +145,8 @@ def test_convention_independence_b_le_21():
             base = continued_fraction_coloring(be, c)
             f0 = fold_count(base)
             assert f0 == cf_fold_count(a, b)
-            for swap, phase in ((True, 0), (False, 1), (True, 1)):
-                other = continued_fraction_coloring(be, c, swap=swap, fill_phase=phase)
+            alternate = continued_fraction_coloring(be, c, fill_phase=1)
+            for other in (base.swapped(), alternate, alternate.swapped()):
                 assert fold_count(other) == f0
                 assert is_good(other).good
 
@@ -208,15 +209,6 @@ def test_vertex_four_coloring_rejects_bad():
         vertex_four_coloring(all_black(c))
 
 
-def test_vertex_four_coloring_rejects_base_out_of_range():
-    col = continued_fraction_coloring(EisensteinInt(2, 3))
-    V = col.complex.vertex_count
-    assert len(vertex_four_coloring(col, base=V - 1)) == V
-    for base in (-1, V, 10**6):
-        with pytest.raises(DomainError, match="no such vertex"):
-            vertex_four_coloring(col, base=base)
-
-
 def test_parity_table_matches_permutation_sign():
     triples = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)
                if len({x, y, z}) == 3]
@@ -234,12 +226,9 @@ _PRIMITIVE_NORM_150 = [
 @pytest.mark.parametrize("beta", _PRIMITIVE_NORM_150)
 def test_goodness_and_four_coloring_match_the_reference(beta):
     c = build_complex(EisensteinInt(*beta))
-    V = c.vertex_count
     for col in (continued_fraction_coloring(EisensteinInt(*beta), c), alternating_coloring(c)):
         assert is_good(col) == reference_is_good(col)
-        for base, base_color in ((0, 0), (V - 1, 2), (V // 2, 3)):
-            assert (vertex_four_coloring(col, base, base_color)
-                    == reference_vertex_four_coloring(col, base, base_color))
+        assert vertex_four_coloring(col) == reference_vertex_four_coloring(col)
 
 
 @pytest.mark.parametrize("beta", [(1, 2), (2, 3), (3, 5), (4, 7)])
@@ -395,14 +384,16 @@ def test_coloring_json_bytes_are_pinned(beta):
 
 
 def _oracle_paint(cf, c):
-    """paint_from_flower as it was before the scan-line fill: every triangle
-    of each quad's bounding box is tested against the quad's ccw edges."""
-    colors = [-1] * c.face_count
-    for kind, data, color in cf.regions():
+    """paint_from_flower as it was before the scan-line fill and before it
+    painted one rotation class: every triangle of each whole-tile quad's
+    bounding box is tested against the quad's ccw edges, and every face
+    must be painted 3 times, once per turn by alpha^2, all in one color."""
+    hits = [[] for _ in range(c.face_count)]
+    for kind, data, color in tile_regions(cf):
         if kind == "fill":
             x, y = data
             o = 0 if x % 3 == 1 else 1
-            colors[c.face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o)] = color
+            hits[c.face_at((x - 1 - o) // 3, (y - 1 - o) // 3, o)].append(color)
             continue
         xs = [p[0] for p in data]
         ys = [p[1] for p in data]
@@ -410,8 +401,10 @@ def _oracle_paint(cf, c):
             for b in range(min(ys) // 3 - 1, max(ys) // 3 + 2):
                 for o, off in ((0, 1), (1, 2)):
                     if _in_quad(data, 3 * a + off, 3 * b + off):
-                        colors[c.face_at(a, b, o)] = color
-    return tuple(colors)
+                        hits[c.face_at(a, b, o)].append(color)
+    for f, h in enumerate(hits):
+        assert len(h) == 3 and len(set(h)) == 1, f"face {f} painted {h}"
+    return tuple(h[0] for h in hits)
 
 
 def _in_quad(quad, px, py):
@@ -454,44 +447,29 @@ def test_paint_matches_bounding_box_oracle_thin_and_golden(beta):
     _assert_paint_matches_oracle(beta)
 
 
+def _paint_with_regions(be, edit):
+    """Paint T(be) from its flower's regions as changed by edit."""
+    cf = capped_flower(be)
+    flower = SimpleNamespace(regions=lambda: iter(edit(list(cf.regions()))))
+    return paint_from_flower(flower, build_complex(be))
+
+
 def test_paint_audit_fires_when_a_quad_is_missing():
-    be = EisensteinInt(2, 5)
-    cf = capped_flower(be)
-
-    def regions():
-        it = cf.regions()
-        dropped = False
-        for kind, data, color in it:
-            if kind == "quad" and not dropped:
-                dropped = True
-                continue
-            yield kind, data, color
-
-    with pytest.raises(AssertionError, match="exactly 3 times"):
-        paint_from_flower(SimpleNamespace(regions=regions), build_complex(be))
+    with pytest.raises(AssertionError, match="not painted"):
+        _paint_with_regions(EisensteinInt(2, 5), lambda regions: regions[1:])
 
 
-def test_paint_audit_fires_when_a_quad_changes_color():
-    be = EisensteinInt(2, 5)
-    cf = capped_flower(be)
-
-    def regions():
-        flipped = False
-        for kind, data, color in cf.regions():
-            if kind == "quad" and not flipped:
-                flipped = True
-                color = 1 - color
-            yield kind, data, color
-
-    with pytest.raises(AssertionError, match="inconsistent paint on face"):
-        paint_from_flower(SimpleNamespace(regions=regions), build_complex(be))
+def test_paint_audit_fires_when_a_quad_is_painted_twice():
+    with pytest.raises(AssertionError, match="painted twice"):
+        _paint_with_regions(EisensteinInt(2, 5), lambda regions: regions[:1] + regions)
 
 
-# (beta, columns): thin quads are painted along their length, so (3,125)
-# takes 1,536 columns where scanning each quad as given took 22,208, and
-# (1,77) 924 where it took 24,332; golden (55,89) takes 2,040 for 2,952
-@pytest.mark.parametrize("beta, cols", [((3, 125), 1536), ((1, 77), 924), ((55, 89), 2040)])
-def test_paint_takes_few_columns_and_paints_each_face_three_times(beta, cols, monkeypatch):
+# (beta, columns): thin quads are painted along their length, and one
+# rotation class of the tile is painted, so (3,125) takes 512 columns where
+# scanning each quad of the whole tile as given took 22,208, and (1,77) 308
+# where it took 24,332; golden (55,89) takes 680 for 2,952
+@pytest.mark.parametrize("beta, cols", [((3, 125), 512), ((1, 77), 308), ((55, 89), 680)])
+def test_paint_takes_few_columns_and_paints_each_face_once(beta, cols, monkeypatch):
     c = build_complex(EisensteinInt(*beta))
     cf = capped_flower(c.beta)
     counts = {"columns": 0, "triangles": 0, "fills": 0}
@@ -509,5 +487,5 @@ def test_paint_takes_few_columns_and_paints_each_face_three_times(beta, cols, mo
     monkeypatch.setattr(QuotientComplex, "column_faces", counted_column_faces)
     monkeypatch.setattr(QuotientComplex, "face_at", counted_face_at)
     paint_from_flower(cf, c)
-    # the six central triangles are painted one face_at each
-    assert counts == {"columns": cols, "triangles": 3 * c.face_count - 6, "fills": 6}
+    # the two central triangles of the class are painted one face_at each
+    assert counts == {"columns": cols, "triangles": c.face_count - 2, "fills": 2}

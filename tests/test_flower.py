@@ -28,6 +28,7 @@ from oracles import (
     continued_fraction,
     per_run_fold_count,
     stripe_counts,
+    tile_regions,
     triangle_count,
 )
 
@@ -154,9 +155,11 @@ def test_empty_flower_levels(aspect, levels):
 
 def test_fill_and_cap_triangle_counts():
     cf = capped_flower(EisensteinInt(3, 5))
-    assert triangle_count(cf) == 294
+    assert triangle_count(tile_regions(cf)) == 294
+    assert triangle_count(cf.regions()) == 98
     cf = capped_flower(EisensteinInt(1, 1))
-    assert triangle_count(cf) == 18
+    assert triangle_count(tile_regions(cf)) == 18
+    assert triangle_count(cf.regions()) == 6
 
 
 def test_fill_and_cap_rejects_bad_beta():
@@ -188,7 +191,9 @@ def test_area_audit_all_primitive_b_le_34():
             for n in cf.necklaces:
                 p, q = n.aspect.numerator, n.aspect.denominator
                 total += 6 * (q * q - (q - p) ** 2)
-            assert total + 6 + 6 * a * b == 6 * cf.beta.norm() == triangle_count(cf)
+            assert total + 6 + 6 * a * b == 6 * cf.beta.norm() == triangle_count(tile_regions(cf))
+            # one rotation class of the tile: F = 2 norm(beta) triangles
+            assert triangle_count(cf.regions()) == cf_face_count(a, b)
 
 
 def test_fill_triangles_alternate_around_origin():
@@ -338,8 +343,9 @@ def test_gamma_orbit_pairs_and_formulas():
     assert cf_face_count(3, 5) == 98
 
 
-# sha256 of repr(list(capped_flower(beta).regions())), recorded while the
-# flower still stored each level's quads a second time
+# sha256 of repr(list(tile_regions(capped_flower(beta)))), recorded while
+# the flower still stored each level's quads a second time and its regions
+# were the whole tile
 REGIONS_PINS = {
     (1, 1): "8058eb54ac55fc2a093801a3650b9ff9bdc4e69d730256ed7add154537a03dae",
     (1, 2): "a5ae7bf94a53a3663dcd5fb249ec80f837a28a5e411a5217685abf5bbf1cecb5",
@@ -354,13 +360,13 @@ REGIONS_PINS = {
 
 @pytest.mark.parametrize("beta", sorted(REGIONS_PINS))
 def test_regions_are_pinned(beta):
-    regions = repr(list(capped_flower(EisensteinInt(*beta)).regions()))
+    regions = repr(list(tile_regions(capped_flower(EisensteinInt(*beta)))))
     assert hashlib.sha256(regions.encode()).hexdigest() == REGIONS_PINS[beta]
 
 
 def test_regions_sequence_is_pinned_for_every_primitive_beta_b_le_60():
     # one digest over the region sequences of every primitive 1 <= a <= b <= 60,
-    # in (b, a) order, each under both swap values and both fill phases
+    # in (b, a) order, each with colors kept and inverted, at both fill phases
     h = hashlib.sha256()
     for b in range(1, 61):
         for a in range(1, b + 1):
@@ -368,8 +374,8 @@ def test_regions_sequence_is_pinned_for_every_primitive_beta_b_le_60():
                 continue
             for swap in (False, True):
                 for phase in (0, 1):
-                    cf = capped_flower(EisensteinInt(a, b), swap, phase)
-                    h.update(repr(list(cf.regions())).encode())
+                    cf = capped_flower(EisensteinInt(a, b), phase)
+                    h.update(repr(list(tile_regions(cf, swap))).encode())
     assert h.hexdigest() == "ef3420212e6a16cc3d8b67a867d27ea1c4963b760b608988dee5227c7231f195"
 
 
