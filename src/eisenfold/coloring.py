@@ -9,10 +9,10 @@ proper vertex 4-colorings, recovered here by deterministic propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from ._record import record
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
 from .jsonio import decimal_int, jint
@@ -27,7 +27,7 @@ class DevelopmentError(RuntimeError):
     """A monochrome region failed to develop into an embedded lattice polygon."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaceColoring:
     complex: QuotientComplex
     colors: tuple[int, ...]
@@ -35,6 +35,8 @@ class FaceColoring:
     def __post_init__(self):
         if len(self.colors) != self.complex.face_count:
             raise DomainError("color array length must equal face count")
+        if self.colors.count(0) + self.colors.count(1) != len(self.colors):
+            raise DomainError("colors must be 0 (white) or 1 (black)")
 
     def flipped(self, faces) -> FaceColoring:
         cols = list(self.colors)
@@ -49,7 +51,7 @@ class FaceColoring:
         return "".join("1" if c == BLACK else "0" for c in self.colors)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GoodnessReport:
     good: bool
     violations: tuple[int, ...]
@@ -285,7 +287,7 @@ _SIDES = tuple(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MonochromeRegion:
     color: int
     faces: frozenset[int]

@@ -8,16 +8,17 @@ basis (1, alpha), so all geometry stays in exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from ._record import record
 
 
 class DomainError(ValueError):
     """Raised when an argument is outside an operation's domain."""
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class EisensteinInt:
     """Lattice point a + b*alpha with norm a^2 + ab + b^2."""
 

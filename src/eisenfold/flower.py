@@ -22,10 +22,10 @@ which rejects a class that misses or repeats a quotient face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import record
 from .eisenstein import DomainError, EisensteinInt, slow_gauss
 
 BLACK, WHITE = 1, 0
@@ -43,7 +43,7 @@ def _rot_poly(poly, k):
     return poly
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Trapezoid:
     """One necklace trapezoid: diagonal sides of length a, top of length b.
 
@@ -83,7 +83,7 @@ class Trapezoid:
         return [(3 * v.a, 3 * v.b) for v in self.vertices()]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Necklace:
     """Six rotation-equivalent trapezoids meeting consecutively at points."""
 
@@ -138,7 +138,7 @@ _FILL_UP = ((1, 1), (-2, 1), (1, -2))
 _FILL_DOWN = ((-1, 2), (2, -1), (-1, -1))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CappedFlower:
     """Hexagonal coloring template: necklaces plus center fill plus corner caps.
 

@@ -11,15 +11,15 @@ eta >= 3 on the squared-fold-to-face ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .eisenstein import DomainError
 from .coloring import FaceColoring, GoodnessError, fold_count, is_good, monochrome_regions
 from .flower import WHITE
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SpecialHexagon:
     """Convex hexagon with all interior angles 2*pi/3, given by side lengths.
 
@@ -76,7 +76,7 @@ def enumerate_lattice_special_hexagons(perimeter_max: int):
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegionIsoperimetricReport:
     region_ratios: tuple[Fraction, ...]
     min_ratio: Fraction

@@ -27,11 +27,11 @@ walk; a lower depth restarts it when its convergent lies behind the walk's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, islice
 from math import gcd, isqrt
 
+from ._record import record
 from .eisenstein import DomainError, continued_fraction_terms
 from .flower import cf_eta, cf_face_count
 from .jsonio import decimal_int
@@ -349,7 +349,7 @@ def _agreeing_prefix(x: tuple[int, int], y: tuple[int, int]) -> list[int]:
     return prefix
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EtaLimitResult:
     zeta: QuadraticSurd
     surd: QuadraticSurd
@@ -440,7 +440,7 @@ def _detect_period(terms: list[int]):
     return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScanRow:
     n: int
     p: int

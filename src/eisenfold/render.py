@@ -7,10 +7,10 @@ element order, so output bytes depend only on the arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
+from ._record import record
 from .eisenstein import DomainError, EisensteinInt, canonical, is_primitive
 from .coloring import continued_fraction_coloring
 from .flower import BLACK, _maximal_runs, empty_flower
@@ -22,7 +22,7 @@ _FOLD_STROKE = "#FF0000"
 _RHOMBUS_STROKE = "#0000FF"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RenderSpec:
     beta: EisensteinInt
     domains: int = 1

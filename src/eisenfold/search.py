@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import time
 import weakref
-from dataclasses import dataclass
 from math import gcd, isqrt
 
+from ._record import record
 from .coloring import (
     FaceColoring,
     alternating_coloring,
@@ -365,7 +365,7 @@ def iter_good_colorings(c: QuotientComplex):
 # minimum-fold search
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SearchBudget:
     """At most max_nodes nodes (per subtree task) and max_seconds of wall
     time; None leaves that side unbounded."""
@@ -380,7 +380,7 @@ class SearchBudget:
             raise DomainError(f"max_seconds must be finite and positive, got {self.max_seconds}")
 
 
-@dataclass
+@record
 class SearchReport:
     beta: EisensteinInt
     best_fold: int
@@ -693,7 +693,7 @@ def _anytime_search(c, max_nodes, deadline):
 # the order-comparison sweep
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IeSweepReport:
     baselines: dict
     checked: int

@@ -9,10 +9,10 @@ first repeated state delimits the minimal preperiod and period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from ._record import record
 from .eisenstein import DomainError
 
 _TRIAL_LIMIT = 1_000_000
@@ -41,7 +41,7 @@ def _extract_square(n: int) -> tuple[int, int]:
     return k, m
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class QuadraticSurd:
     """Value r + s*sqrt(d) with r, s rational and d squarefree positive."""
 
@@ -155,7 +155,7 @@ class QuadraticSurd:
         return f"{self.r} + {self.s}*sqrt({self.d})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CFExpansion:
     """Eventually periodic continued fraction; minimal period and preperiod."""
 

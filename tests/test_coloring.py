@@ -160,6 +160,14 @@ def test_is_good_reports_violations():
     assert len(rep.violations) == 3
 
 
+def test_face_coloring_rejects_colors_other_than_0_and_1():
+    c = build_complex(EisensteinInt(1, 2))
+    for colors in [(0, 2) * 7, (1,) * 13 + (-1,), (0,) * 13 + (None,)]:
+        with pytest.raises(DomainError, match="0 .white. or 1 .black."):
+            FaceColoring(c, colors)
+    assert FaceColoring(c, (0, 1) * 7).colors == (0, 1) * 7
+
+
 def test_one_face_flip_breaks_goodness():
     c = build_complex(EisensteinInt(1, 2))
     col = alternating_coloring(c).flipped([0])

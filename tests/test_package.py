@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import subprocess
 import sys
 
 import eisenfold
@@ -93,3 +94,17 @@ def test_the_library_does_not_import_the_oracles():
         for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
         if "oracles" in name.split(".")
     ]
+
+
+def test_importing_the_library_loads_neither_dataclasses_nor_inspect():
+    # each CLI command pays for what the import loads; the records are built
+    # by eisenfold._record, and dataclasses would bring inspect, ast and dis
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
+        "import eisenfold, eisenfold.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.split() == ["[]"]
