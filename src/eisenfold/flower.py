@@ -95,8 +95,8 @@ class Necklace:
 
 def necklace(aspect: Fraction, center: EisensteinInt, mirrored: bool = False) -> Necklace:
     """The unique necklace of the given aspect about center (per chirality)."""
-    if not (0 < aspect <= 1):
-        raise DomainError(f"aspect {aspect} outside (0, 1]")
+    if not isinstance(aspect, Fraction) or not 0 < aspect <= 1:
+        raise DomainError(f"aspect must be a Fraction in (0, 1], got {aspect}")
     a, b = aspect.numerator, aspect.denominator
     traps = tuple(
         Trapezoid(a, b, center, slot, mirrored) for slot in range(6)
@@ -124,8 +124,6 @@ def empty_flower(aspect: Fraction) -> list[tuple[Necklace, int]]:
 
     Outermost first; the innermost 1/1 necklace is white.
     """
-    if not (0 < aspect <= 1):
-        raise DomainError(f"aspect {aspect} outside (0, 1]")
     chain = [necklace(aspect, EisensteinInt(0, 0))]
     while chain[-1].aspect != 1:
         chain.append(necklace_gamma(chain[-1]))
@@ -218,7 +216,7 @@ def fill_and_cap(
 def capped_flower(beta: EisensteinInt, fill_phase: int = 0) -> CappedFlower:
     """Build the full template for a canonical primitive beta with 1 <= a <= b.
 
-    Any other beta raises DomainError: empty_flower rejects an aspect a/b
+    Any other beta raises DomainError: necklace rejects an aspect a/b
     outside (0, 1], and fill_and_cap the rest.  With b = 0 there is no
     aspect, so no flower is built and fill_and_cap rejects beta.
     """

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, cycle, islice
-from math import gcd, isqrt
+from math import isqrt
 
 from ._record import record
 from .eisenstein import DomainError, continued_fraction_terms
@@ -264,8 +264,6 @@ def _check_unit_zeta(zeta: QuadraticSurd) -> None:
 
 def eta_of_approximant(p: int, q: int) -> Fraction:
     """Exact eta of the continued-fraction coloring indexed by p + q*alpha."""
-    if gcd(p, q) != 1 or not (1 <= p <= q):
-        raise DomainError(f"approximant must be reduced with 1 <= p <= q, got {p}/{q}")
     return cf_eta(p, q)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import inf
 
 from ._record import record
-from .eisenstein import DomainError, EisensteinInt, canonical, is_primitive
+from .eisenstein import DomainError, EisensteinInt, canonical
 from .coloring import continued_fraction_coloring
 from .flower import BLACK, _maximal_runs, empty_flower
 from .surface import CELL_OPEN_SIDES, CORNERS, DOWN, NEIGHBOR, UP, cell, columns
@@ -83,8 +83,6 @@ def render_svg(spec: RenderSpec) -> str:
     """
     beta = canonical(spec.beta)
     if spec.colored:
-        if not is_primitive(beta) or beta.a < 1:
-            raise DomainError("colored renders need primitive beta with 1 <= a <= b")
         col = continued_fraction_coloring(beta)
         colors, face_at = col.colors, col.complex.face_at
 
@@ -156,11 +154,9 @@ def render_flower_svg(aspect: Fraction, scale: float = 40.0) -> str:
     trapezoid (one per rotation slot per continued-fraction quotient) gets
     a heavy outline, so its stripe count is the visible quotient.
     """
-    if not isinstance(aspect, Fraction) or not 0 < aspect <= 1:
-        raise DomainError(f"aspect must be a Fraction in (0, 1], got {aspect}")
+    flower = empty_flower(aspect)
     if not 0 < scale < inf:
         raise DomainError(f"scale must be positive and finite, got {scale}")
-    flower = empty_flower(aspect)
     polys = [
         ([(v.a, v.b) for v in t.vertices()], _FILL[color])
         for necklace_, color in flower

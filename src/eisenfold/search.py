@@ -21,6 +21,7 @@ from ._record import record
 from .coloring import (
     FaceColoring,
     alternating_coloring,
+    color_balance,
     continued_fraction_coloring,
     fold_count,
     is_good,
@@ -29,6 +30,7 @@ from .coloring import (
 from . import jsonio
 from .eisenstein import DomainError, EisensteinInt
 from .flower import BLACK, WHITE, cf_eta
+from .isoperimetric import region_isoperimetric_check
 from .surface import QuotientComplex
 
 CHECKPOINT_FORMAT = "eisenfold-search-checkpoint.v1"
@@ -495,12 +497,9 @@ def min_fold_search(
         wall_time=time.monotonic() - t0,
         proven_lower_bound=max(floor, lb),
     )
-    rep = is_good(report.best_coloring)
-    blacks = sum(1 for x in report.best_coloring.colors if x == BLACK)
-    if not rep.good or 2 * blacks != c.face_count:
+    blacks, whites = color_balance(report.best_coloring)
+    if not is_good(report.best_coloring).good or blacks != whites:
         raise AssertionError("search produced a non-good or unbalanced coloring")
-    from .isoperimetric import region_isoperimetric_check
-
     if not region_isoperimetric_check(report.best_coloring).eta_lower_bound_holds:
         raise AssertionError("search result violates the isoperimetric bound")
     return report
@@ -706,7 +705,8 @@ def ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepReport:
 
     Eta values come from the necklace-layer fold formula, which the test
     suite pins against the constructed colorings.  eta = f^2 / F with F > 0,
-    so each pair is compared by integer cross-multiplication.
+    so each pair is compared by integer cross-multiplication.  A baseline
+    that cf_eta rejects, or one listed twice, raises DomainError.
 
     The pairs 1 <= a' <= b' < b_max with gcd 1 are walked once as a forest
     of Euclid trees (N. Calkin and H. Wilf, "Recounting the rationals",
@@ -718,8 +718,8 @@ def ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepReport:
     """
     baselines = {}
     for a, b in betas:
-        if gcd(a, b) != 1 or not (1 <= a <= b):
-            raise DomainError(f"baseline ({a}, {b}) is not canonical primitive")
+        if (a, b) in baselines:
+            raise DomainError(f"baseline ({a}, {b}) is repeated")
         baselines[(a, b)] = cf_eta(a, b)
     # per baseline: the pair, eta's numerator and denominator, and the
     # (b', a') that break the order, which sort into the order b' then a'

@@ -10,7 +10,8 @@ norm(beta) + 2, and exactly three vertices of degree 2.
 
 Every torus point has an integer index.  With the Hermite basis (h1, 0),
 (va, h2) of delta*E, where h1*h2 = norm(delta), the point a + b*alpha has
-index (b mod h2)*h1 + (a - floor(b/h2)*va) mod h1, so a plane triangle
+index (b mod h2)*h1 + (a - floor(b/h2)*va) mod h1 (`QuotientComplex._index`,
+the one place that formula is written), so a plane triangle
 (a, b, orientation o) sits at torus face 2*index + o.  One flat table over
 these 2*norm(delta) slots gives each plane triangle's quotient face
 (`QuotientComplex.face_at`); building the complex, painting a coloring and
@@ -170,10 +171,7 @@ class QuotientComplex:
         h2, va = r0, x0 * d1 - y0 * d2  # x0*delta + y0*delta*alpha = (va, h2)
         h1 = n // h2
         self._h1, self._h2, self._va = h1, h2, va
-
-        def index(x: int, y: int) -> int:
-            q, j = divmod(y, h2)
-            return j * h1 + (x - q * va) % h1
+        index = self._index
 
         # unit steps between indices, as spans of one list of the indices:
         # R = +1 and L = -1 wrap at the row end, U = +alpha and D = -alpha
@@ -302,12 +300,25 @@ class QuotientComplex:
         if flat[:3] != [2, 2, 2] or any(d != 6 for d in flat[3:]):
             raise AssertionError(f"unexpected degree multiset {flat}")
 
+    def _index(self, a: int, b: int) -> int:
+        """Torus index of the point a + b*alpha."""
+        q, j = divmod(b, self._h2)
+        return j * self._h1 + (a - q * self._va) % self._h1
+
     # -- queries -----------------------------------------------------------
+
+    def __eq__(self, other):
+        # nothing but the canonical beta enters the build
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.beta == other.beta
+
+    def __hash__(self):
+        return hash(self.beta)
 
     def face_at(self, a: int, b: int, o: int) -> int:
         """Face index of the plane triangle anchored at a + b*alpha with orientation o."""
-        q, j = divmod(b, self._h2)
-        return self._face_of[2 * (j * self._h1 + (a - q * self._va) % self._h1) + o]
+        return self._face_of[2 * self._index(a, b) + o]
 
     def column_faces(self, a: int, lo: int, hi: int, o: int) -> list[int]:
         """Faces of the plane triangles (a, b, o) for lo <= b <= hi, in order of b.
@@ -317,8 +328,7 @@ class QuotientComplex:
         row 0 shifted by -va.
         """
         h1, face_of = self._h1, self._face_of
-        q, j = divmod(lo, self._h2)
-        t = 2 * (j * h1 + (a - q * self._va) % h1) + o
+        t = 2 * self._index(a, lo) + o
         step, end = 2 * h1, len(face_of)
         wrap = 2 * (-self._va % h1) - end
         out = []

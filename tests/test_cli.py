@@ -290,6 +290,22 @@ def test_sweep_ie_json_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-ie", "--betas", "0,1", "--b-max", "20"],
+        ["sweep-ie", "--betas", "2,4", "--b-max", "20"],
+        ["sweep-ie", "--betas", "3,2", "--b-max", "20"],
+        ["sweep-ie", "--betas", "1,2;1,2", "--b-max", "20"],
+        ["render", "--beta", "2,4"],
+        ["render", "--beta", "0,1"],
+        ["render", "--beta", "0,0"],
+    ],
+)
+def test_beta_without_a_flower_is_one_error_line(capsys, argv):
+    _assert_one_error_line(capsys, cli_main(argv))
+
+
 def test_sweep_ie_malformed_betas(capsys):
     _assert_one_error_line(capsys, cli_main(["sweep-ie", "--betas", "1,x", "--b-max", "10"]))
 

@@ -140,6 +140,17 @@ def test_aspect_functoriality_b_le_100():
             assert necklace_gamma(x).aspect == slow_gauss(x.aspect)
 
 
+@pytest.mark.parametrize("aspect", [0.5, Fraction(3, 2), Fraction(0)])
+@pytest.mark.parametrize(
+    "build", [lambda x: necklace(x, O), empty_flower], ids=["necklace", "empty_flower"]
+)
+def test_aspect_outside_the_rule_is_a_domain_error(build, aspect):
+    # necklace holds the rule, a Fraction in (0, 1]; empty_flower and (see
+    # test_render.py) render_flower_svg reach it through necklace
+    with pytest.raises(DomainError, match="aspect must be a Fraction in"):
+        build(aspect)
+
+
 @pytest.mark.parametrize(
     "aspect, levels",
     [(Fraction(3, 5), 4), (Fraction(1, 1), 1), (Fraction(3, 7), 5)],

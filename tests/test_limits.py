@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -494,10 +494,15 @@ def test_eta_limit_schedule_pins(text, depths):
 
 
 def test_eta_of_approximant_guards():
-    with pytest.raises(DomainError):
-        eta_of_approximant(2, 4)
-    with pytest.raises(DomainError):
-        eta_of_approximant(3, 2)
+    # cf_eta holds the rule: a pair is taken iff it is reduced with 1 <= p <= q
+    for p in range(-2, 8):
+        for q in range(-2, 8):
+            if gcd(p, q) == 1 and 1 <= p <= q:
+                f = cf_fold_count(p, q)
+                assert eta_of_approximant(p, q) == Fraction(f * f, cf_face_count(p, q))
+            else:
+                with pytest.raises(DomainError):
+                    eta_of_approximant(p, q)
 
 
 def test_eta_limit_golden_is_phi_sixth():

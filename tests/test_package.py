@@ -108,3 +108,24 @@ def test_importing_the_library_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout.split() == ["[]"]
+
+
+def test_every_module_reads_each_name_it_imports():
+    # a name imported and never read is what a deleted check leaves behind
+    src = pathlib.Path(eisenfold.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for bound in [alias.asname or alias.name.split(".")[0]]
+            if bound not in read
+        ]
+    assert unused == []

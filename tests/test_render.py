@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from eisenfold.eisenstein import DomainError, EisensteinInt
+from eisenfold.eisenstein import DomainError, EisensteinInt, canonicalize
 from eisenfold.render import RenderSpec, render_flower_svg, render_svg
 from oracles import box_scan_render_svg
 
@@ -38,10 +38,16 @@ def test_rhombus_toggle():
 
 
 def test_colored_render_rejects_degenerate_beta():
-    with pytest.raises(DomainError):
-        render_svg(RenderSpec(beta=EisensteinInt(1, 0)))
-    with pytest.raises(DomainError):
-        render_svg(RenderSpec(beta=EisensteinInt(2, 4)))
+    # continued_fraction_coloring holds the rule: the canonical beta is
+    # primitive with 1 <= a <= b; zero has no canonical form
+    for a in range(-5, 6):
+        for b in range(-5, 6):
+            if (a, b) != (0, 0):
+                ca, cb = canonicalize(EisensteinInt(a, b))
+                if gcd(ca, cb) == 1 and ca >= 1:
+                    continue
+            with pytest.raises(DomainError):
+                render_svg(RenderSpec(beta=EisensteinInt(a, b)))
 
 
 def test_bare_render_allows_any_beta():

@@ -14,7 +14,7 @@ from eisenfold.coloring import (
     fold_count,
     is_good,
 )
-from eisenfold.eisenstein import EisensteinInt
+from eisenfold.eisenstein import DomainError, EisensteinInt
 from eisenfold.flower import BLACK, WHITE, cf_eta
 from eisenfold.search import (
     SearchBudget,
@@ -335,6 +335,13 @@ def test_ie_sweep_small():
     assert rep.checked > 0
 
 
+@pytest.mark.parametrize("betas", [[(0, 1)], [(2, 4)], [(3, 2)], [(1, 2), (2, 3), (1, 2)]])
+def test_ie_sweep_rejects_a_baseline_without_a_flower_or_listed_twice(betas):
+    # a repeated pair would key one baseline and report it once
+    with pytest.raises(DomainError):
+        ie_sweep(betas, 20)
+
+
 @pytest.mark.parametrize("base", [(1, 2), (2, 3), (3, 5), (1, 3)])
 def test_ie_sweep_matches_a_fraction_comparison(base):
     b_max = 120
@@ -355,8 +362,9 @@ def test_ie_sweep_tree_matches_the_row_by_row_sweep(base):
 
 @pytest.mark.parametrize("b_max", [-5, 0, 1, 2, 3, 4, 5, 6, 40])
 def test_ie_sweep_tree_matches_the_row_by_row_sweep_for_several_baselines(b_max):
-    # b_max around each baseline's b: below it, at it and one past it
-    betas = [(1, 3), (1, 1), (2, 5), (1, 3), (1, 2)]
+    # b_max around each baseline's b: below it, at it and one past it; a
+    # repeated baseline is an error, so each is listed once
+    betas = [(1, 3), (1, 1), (2, 5), (1, 2)]
     assert ie_sweep(betas, b_max) == reference_ie_sweep(betas, b_max)
 
 
