@@ -1,25 +1,29 @@
-"""Record classes built from their annotations, without dataclasses.
+"""Record classes whose fields are the parameters of their own `__init__`.
 
 `@record`, `@record(frozen=True)` and `@record(frozen=True, slots=True)`
-turn a class whose body lists annotated fields (in order, with optional
-defaults) into a record with the behaviour of the matching `dataclass`:
+turn a class that writes its own straight-line `__init__` into a record
+with the behaviour of the matching `dataclass`:
 
-- `__init__(self, *fields)` assigns each field and then runs
-  `__post_init__` if the class defines one;
+- the fields are that `__init__`'s parameters after `self`, in order,
+  with their defaults in its signature; the `__init__` sets every field
+  (a frozen one through `setfield`) and then checks them;
 - `repr` is `Name(field=value, ...)` and `==` compares the field tuples
   of two instances of one class;
 - a frozen record hashes as its field tuple and raises AttributeError on
   assigning or deleting an attribute; a mutable one is unhashable;
 - a slots record has no `__dict__` and pickles its field values.
 
-Only `__init__` is generated, one straight-line function per class from a
-single small `exec`, so a constructor costs what the dataclass one did.
-The other methods are the shared functions below, which find the class's
-field names in `__match_args__` and their values through `__record_key__`.
-A method the class body defines itself is kept.
+Nothing is generated or compiled: the decorator reads the field names
+from the `__init__`'s code object, and the other methods are the shared
+functions below, which find the class's field names in `__match_args__`
+and their values through `__record_key__`.  A method the class body
+defines itself is kept.
 """
 
 from operator import attrgetter
+
+# how a frozen record's `__init__` sets its fields
+setfield = object.__setattr__
 
 
 def record(cls=None, /, *, frozen=False, slots=False):
@@ -33,11 +37,10 @@ def record(cls=None, /, *, frozen=False, slots=False):
 
 def _build(cls, frozen, slots):
     body = cls.__dict__
-    names = tuple(body.get("__annotations__", {}))
-    defaults = {n: body[n] for n in names if n in body}
+    code = body["__init__"].__code__
+    names = code.co_varnames[1:code.co_argcount]
     if slots:
-        ns = {k: v for k, v in body.items()
-              if k not in names and k not in ("__dict__", "__weakref__")}
+        ns = {k: v for k, v in body.items() if k not in ("__dict__", "__weakref__")}
         ns["__slots__"] = names
         qualname = cls.__qualname__
         cls = type(cls)(cls.__name__, cls.__bases__, ns)
@@ -45,24 +48,11 @@ def _build(cls, frozen, slots):
         cls.__getstate__ = _getstate
         cls.__setstate__ = _setstate
 
-    params = "".join(f", {n}=_d_{n}" if n in defaults else f", {n}" for n in names)
-    assign = "_setattr(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
-    lines = [f"def __init__(self{params}):"]
-    lines += ["    " + assign.format(n) for n in names]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    env = {f"_d_{n}": v for n, v in defaults.items()}
-    env["_setattr"] = object.__setattr__
-    exec("\n".join(lines), env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-
     cls.__match_args__ = names
     # attrgetter of one name returns the bare value, not a 1-tuple
     cls.__record_key__ = (attrgetter(*names) if len(names) > 1 else
                           staticmethod(lambda self: tuple(getattr(self, n) for n in names)))
-    methods = {"__init__": init, "__repr__": _repr, "__eq__": _eq,
-               "__hash__": _hash if frozen else None}
+    methods = {"__repr__": _repr, "__eq__": _eq, "__hash__": _hash if frozen else None}
     if frozen:
         methods["__setattr__"] = _frozen_setattr
         methods["__delattr__"] = _frozen_delattr
@@ -101,4 +91,4 @@ def _getstate(self):
 
 def _setstate(self, state):
     for name, value in zip(self.__match_args__, state):
-        object.__setattr__(self, name, value)
+        setfield(self, name, value)

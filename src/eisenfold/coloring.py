@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from ._record import record
+from ._record import record, setfield
 from .eisenstein import DomainError, EisensteinInt, canonicalize, is_primitive
 from .flower import BLACK, WHITE, CappedFlower, capped_flower
 from .jsonio import decimal_int, jint
@@ -29,13 +29,12 @@ class DevelopmentError(RuntimeError):
 
 @record(frozen=True)
 class FaceColoring:
-    complex: QuotientComplex
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.colors) != self.complex.face_count:
+    def __init__(self, complex: QuotientComplex, colors: tuple[int, ...]):
+        setfield(self, "complex", complex)
+        setfield(self, "colors", colors)
+        if len(colors) != complex.face_count:
             raise DomainError("color array length must equal face count")
-        if self.colors.count(0) + self.colors.count(1) != len(self.colors):
+        if colors.count(0) + colors.count(1) != len(colors):
             raise DomainError("colors must be 0 (white) or 1 (black)")
 
     def flipped(self, faces) -> FaceColoring:
@@ -53,9 +52,10 @@ class FaceColoring:
 
 @record(frozen=True)
 class GoodnessReport:
-    good: bool
-    violations: tuple[int, ...]
-    mod6: bool
+    def __init__(self, good: bool, violations: tuple[int, ...], mod6: bool):
+        setfield(self, "good", good)
+        setfield(self, "violations", violations)
+        setfield(self, "mod6", mod6)
 
 
 def alternating_coloring(c: QuotientComplex) -> FaceColoring:
@@ -289,10 +289,12 @@ _SIDES = tuple(
 
 @record(frozen=True)
 class MonochromeRegion:
-    color: int
-    faces: frozenset[int]
-    boundary_length: int
-    lifted_polygon: tuple[EisensteinInt, ...]
+    def __init__(self, color: int, faces: frozenset[int], boundary_length: int,
+                 lifted_polygon: tuple[EisensteinInt, ...]):
+        setfield(self, "color", color)
+        setfield(self, "faces", faces)
+        setfield(self, "boundary_length", boundary_length)
+        setfield(self, "lifted_polygon", lifted_polygon)
 
 
 def monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._record import record
+from ._record import record, setfield
 
 
 class DomainError(ValueError):
@@ -22,8 +22,9 @@ class DomainError(ValueError):
 class EisensteinInt:
     """Lattice point a + b*alpha with norm a^2 + ab + b^2."""
 
-    a: int
-    b: int
+    def __init__(self, a: int, b: int):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
 
     def __add__(self, other: EisensteinInt) -> EisensteinInt:
         return EisensteinInt(self.a + other.a, self.b + other.b)

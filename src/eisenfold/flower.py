@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._record import record
+from ._record import record, setfield
 from .eisenstein import DomainError, EisensteinInt, slow_gauss
 
 BLACK, WHITE = 1, 0
@@ -53,11 +53,12 @@ class Trapezoid:
     a+(b-a)*alpha; the bottom degenerates to a point when a = b.
     """
 
-    a: int
-    b: int
-    center: EisensteinInt
-    slot: int
-    mirrored: bool
+    def __init__(self, a: int, b: int, center: EisensteinInt, slot: int, mirrored: bool):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "center", center)
+        setfield(self, "slot", slot)
+        setfield(self, "mirrored", mirrored)
 
     def corners(self) -> tuple[EisensteinInt, ...]:
         """Labeled corners (bottom-left, bottom-right, top-right, top-left).
@@ -87,10 +88,12 @@ class Trapezoid:
 class Necklace:
     """Six rotation-equivalent trapezoids meeting consecutively at points."""
 
-    center: EisensteinInt
-    aspect: Fraction
-    mirrored: bool
-    trapezoids: tuple[Trapezoid, ...]
+    def __init__(self, center: EisensteinInt, aspect: Fraction, mirrored: bool,
+                 trapezoids: tuple[Trapezoid, ...]):
+        setfield(self, "center", center)
+        setfield(self, "aspect", aspect)
+        setfield(self, "mirrored", mirrored)
+        setfield(self, "trapezoids", trapezoids)
 
 
 def necklace(aspect: Fraction, center: EisensteinInt, mirrored: bool = False) -> Necklace:
@@ -145,12 +148,15 @@ class CappedFlower:
     lattice parallelograms, so the induced plane coloring is total.
     """
 
-    beta: EisensteinInt
-    necklaces: tuple[Necklace, ...]
-    necklace_colors: tuple[int, ...]
-    fill_colors: dict
-    cap_color: int
-    _caps: tuple          # six cap quads, tripled
+    def __init__(self, beta: EisensteinInt, necklaces: tuple[Necklace, ...],
+                 necklace_colors: tuple[int, ...], fill_colors: dict, cap_color: int,
+                 _caps: tuple):
+        setfield(self, "beta", beta)
+        setfield(self, "necklaces", necklaces)
+        setfield(self, "necklace_colors", necklace_colors)
+        setfield(self, "fill_colors", fill_colors)
+        setfield(self, "cap_color", cap_color)
+        setfield(self, "_caps", _caps)  # six cap quads, tripled
 
     def regions(self):
         """One alpha^2-rotation class of the tile's paint regions.

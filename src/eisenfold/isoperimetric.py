@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import record
+from ._record import record, setfield
 from .eisenstein import DomainError
 from .coloring import FaceColoring, GoodnessError, fold_count, is_good, monochrome_regions
 from .flower import WHITE
@@ -28,10 +28,9 @@ class SpecialHexagon:
     and triangles.
     """
 
-    lengths: tuple
-
-    def __post_init__(self):
-        ls = self.lengths
+    def __init__(self, lengths: tuple):
+        setfield(self, "lengths", lengths)
+        ls = lengths
         if len(ls) != 6 or any(x < 0 for x in ls):
             raise DomainError("need six non-negative side lengths")
         if ls[0] + ls[1] != ls[3] + ls[4] or ls[1] + ls[2] != ls[4] + ls[5]:
@@ -78,14 +77,17 @@ def enumerate_lattice_special_hexagons(perimeter_max: int):
 
 @record(frozen=True)
 class RegionIsoperimetricReport:
-    region_ratios: tuple[Fraction, ...]
-    min_ratio: Fraction
-    per_region_bound_holds: bool
-    fold_total: int
-    white_face_total: int
-    farey_aggregate: Fraction
-    eta: Fraction
-    eta_lower_bound_holds: bool
+    def __init__(self, region_ratios: tuple[Fraction, ...], min_ratio: Fraction,
+                 per_region_bound_holds: bool, fold_total: int, white_face_total: int,
+                 farey_aggregate: Fraction, eta: Fraction, eta_lower_bound_holds: bool):
+        setfield(self, "region_ratios", region_ratios)
+        setfield(self, "min_ratio", min_ratio)
+        setfield(self, "per_region_bound_holds", per_region_bound_holds)
+        setfield(self, "fold_total", fold_total)
+        setfield(self, "white_face_total", white_face_total)
+        setfield(self, "farey_aggregate", farey_aggregate)
+        setfield(self, "eta", eta)
+        setfield(self, "eta_lower_bound_holds", eta_lower_bound_holds)
 
 
 def region_isoperimetric_check(col: FaceColoring) -> RegionIsoperimetricReport:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain, cycle, islice
 from math import isqrt
 
-from ._record import record
+from ._record import record, setfield
 from .eisenstein import DomainError, continued_fraction_terms
 from .flower import cf_eta, cf_face_count
 from .jsonio import decimal_int
@@ -287,21 +287,30 @@ def _certified_terms(p: int, q: int, r: int, s: int) -> tuple[list[int], tuple]:
     whose closure holds every fraction that starts with those terms, so if
     lo and hi share t_0..t_(u-1), both p/q and r/s, which lie strictly
     between them, start with those terms and go on.
+
+    Euclid runs on lo = a/b and hi = c/d in lockstep: t = a // b is a term
+    of hi too exactly when 0 <= c - t*d < d.  The continuant matrix M is
+    not updated per term: with (a, b) and (c, d) the start pairs and
+    (a', b') and (c', d') the end ones, M [[a', c'], [b', d']] =
+    [[a, c], [b, d]], and the end matrix is invertible, since its
+    determinant is +-(a*d - b*c), nonzero because lo < hi.  So one 2x2
+    solve after the loop gives M.
     """
     sh = min(p.bit_length(), q.bit_length(), r.bit_length(), s.bit_length()) - _CHUNK_BITS
     p, q, r, s = p >> sh, q >> sh, r >> sh, s >> sh
-    a, b = (p, q + 1) if p * (s + 1) < r * (q + 1) else (r, s + 1)
-    c, d = (p + 1, q) if (p + 1) * s > (r + 1) * q else (r + 1, s)
+    a0, b0 = a, b = (p, q + 1) if p * (s + 1) < r * (q + 1) else (r, s + 1)
+    c0, d0 = c, d = (p + 1, q) if (p + 1) * s > (r + 1) * q else (r + 1, s)
     terms = []
-    h, h1, k, k1 = 1, 0, 0, 1
     while b and d:
         t, m = divmod(a, b)
-        if t != c // d:
+        n = c - t * d
+        if not 0 <= n < d:
             break
         terms.append(t)
-        a, b, c, d = b, m, d, c - t * d
-        h, h1, k, k1 = t * h + h1, h, t * k + k1, k
-    return terms, (h, h1, k, k1)
+        a, b, c, d = b, m, d, n
+    det = a * d - b * c
+    return terms, ((a0 * d - c0 * b) // det, (c0 * a - a0 * c) // det,
+                   (b0 * d - d0 * b) // det, (d0 * a - b0 * c) // det)
 
 
 def _agreeing_prefix(x: tuple[int, int], y: tuple[int, int]) -> list[int]:
@@ -349,11 +358,13 @@ def _agreeing_prefix(x: tuple[int, int], y: tuple[int, int]) -> list[int]:
 
 @record(frozen=True)
 class EtaLimitResult:
-    zeta: QuadraticSurd
-    surd: QuadraticSurd
-    expansion: CFExpansion
-    depths_used: tuple[int, int]
-    prefix_length: int
+    def __init__(self, zeta: QuadraticSurd, surd: QuadraticSurd, expansion: CFExpansion,
+                 depths_used: tuple[int, int], prefix_length: int):
+        setfield(self, "zeta", zeta)
+        setfield(self, "surd", surd)
+        setfield(self, "expansion", expansion)
+        setfield(self, "depths_used", depths_used)
+        setfield(self, "prefix_length", prefix_length)
 
 
 def eta_limit_numeric(
@@ -440,13 +451,15 @@ def _detect_period(terms: list[int]):
 
 @record(frozen=True)
 class ScanRow:
-    n: int
-    p: int
-    q: int
-    fold: int
-    faces: int
-    fold_ratio: Fraction
-    eta_ratio: Fraction
+    def __init__(self, n: int, p: int, q: int, fold: int, faces: int, fold_ratio: Fraction,
+                 eta_ratio: Fraction):
+        setfield(self, "n", n)
+        setfield(self, "p", p)
+        setfield(self, "q", q)
+        setfield(self, "fold", fold)
+        setfield(self, "faces", faces)
+        setfield(self, "fold_ratio", fold_ratio)
+        setfield(self, "eta_ratio", eta_ratio)
 
 
 def ratio_scan(zeta: QuadraticSurd, n_max: int) -> list[ScanRow]:

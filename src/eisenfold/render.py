@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-from ._record import record
+from ._record import record, setfield
 from .eisenstein import DomainError, EisensteinInt, canonical
 from .coloring import continued_fraction_coloring
 from .flower import BLACK, _maximal_runs, empty_flower
@@ -24,18 +24,18 @@ _RHOMBUS_STROKE = "#0000FF"
 
 @record(frozen=True)
 class RenderSpec:
-    beta: EisensteinInt
-    domains: int = 1
-    show_rhombus: bool = True
-    show_folds: bool = True
-    scale: float = 40.0
-    colored: bool = True
-
-    def __post_init__(self):
-        if self.domains < 1:
+    def __init__(self, beta: EisensteinInt, domains: int = 1, show_rhombus: bool = True,
+                 show_folds: bool = True, scale: float = 40.0, colored: bool = True):
+        setfield(self, "beta", beta)
+        setfield(self, "domains", domains)
+        setfield(self, "show_rhombus", show_rhombus)
+        setfield(self, "show_folds", show_folds)
+        setfield(self, "scale", scale)
+        setfield(self, "colored", colored)
+        if domains < 1:
             raise DomainError("domains must be >= 1")
-        if not 0 < self.scale < inf:
-            raise DomainError(f"scale must be positive and finite, got {self.scale}")
+        if not 0 < scale < inf:
+            raise DomainError(f"scale must be positive and finite, got {scale}")
 
 
 def _xy(a: int, b: int, scale: float) -> tuple[float, float]:

@@ -17,7 +17,7 @@ import time
 import weakref
 from math import gcd, isqrt
 
-from ._record import record
+from ._record import record, setfield
 from .coloring import (
     FaceColoring,
     alternating_coloring,
@@ -372,25 +372,26 @@ class SearchBudget:
     """At most max_nodes nodes (per subtree task) and max_seconds of wall
     time; None leaves that side unbounded."""
 
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-
-    def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise DomainError(f"max_nodes must be at least 1, got {self.max_nodes}")
-        if self.max_seconds is not None and not 0 < self.max_seconds < float("inf"):
-            raise DomainError(f"max_seconds must be finite and positive, got {self.max_seconds}")
+    def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
+        setfield(self, "max_nodes", max_nodes)
+        setfield(self, "max_seconds", max_seconds)
+        if max_nodes is not None and max_nodes < 1:
+            raise DomainError(f"max_nodes must be at least 1, got {max_nodes}")
+        if max_seconds is not None and not 0 < max_seconds < float("inf"):
+            raise DomainError(f"max_seconds must be finite and positive, got {max_seconds}")
 
 
 @record
 class SearchReport:
-    beta: EisensteinInt
-    best_fold: int
-    best_coloring: FaceColoring
-    status: str  # "ProvedOptimal" | "Incumbent"
-    nodes_explored: int
-    wall_time: float
-    proven_lower_bound: int
+    def __init__(self, beta: EisensteinInt, best_fold: int, best_coloring: FaceColoring,
+                 status: str, nodes_explored: int, wall_time: float, proven_lower_bound: int):
+        self.beta = beta
+        self.best_fold = best_fold
+        self.best_coloring = best_coloring
+        self.status = status  # "ProvedOptimal" | "Incumbent"
+        self.nodes_explored = nodes_explored
+        self.wall_time = wall_time
+        self.proven_lower_bound = proven_lower_bound
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         from .jsonio import jint
@@ -694,9 +695,10 @@ def _anytime_search(c, max_nodes, deadline):
 
 @record(frozen=True)
 class IeSweepReport:
-    baselines: dict
-    checked: int
-    violations: tuple
+    def __init__(self, baselines: dict, checked: int, violations: tuple):
+        setfield(self, "baselines", baselines)
+        setfield(self, "checked", checked)
+        setfield(self, "violations", violations)
 
 
 def ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepReport:

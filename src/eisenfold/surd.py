@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ._record import record
+from ._record import record, setfield
 from .eisenstein import DomainError
 
 _TRIAL_LIMIT = 1_000_000
@@ -45,15 +45,12 @@ def _extract_square(n: int) -> tuple[int, int]:
 class QuadraticSurd:
     """Value r + s*sqrt(d) with r, s rational and d squarefree positive."""
 
-    r: Fraction
-    s: Fraction
-    d: int
-
-    def __post_init__(self):
-        if self.d <= 0:
+    def __init__(self, r: Fraction, s: Fraction, d: int):
+        setfield(self, "r", r)
+        setfield(self, "s", s)
+        setfield(self, "d", d if s != 0 else 1)
+        if d <= 0:
             raise DomainError("radicand must be positive")
-        if self.s == 0 and self.d != 1:
-            object.__setattr__(self, "d", 1)
 
     @staticmethod
     def make(r, s, d: int) -> QuadraticSurd:
@@ -159,15 +156,12 @@ class QuadraticSurd:
 class CFExpansion:
     """Eventually periodic continued fraction; minimal period and preperiod."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(t <= 0 for t in self.preperiod[1:]) or any(t <= 0 for t in self.period):
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if any(t <= 0 for t in preperiod[1:]) or any(t <= 0 for t in period):
             raise DomainError("partial quotients past the first must be positive")
-        pre, per = _minimize(self.preperiod, self.period)
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        preperiod, period = _minimize(preperiod, period)
+        setfield(self, "preperiod", preperiod)
+        setfield(self, "period", period)
 
     def terms(self, n: int) -> list[int]:
         out = list(self.preperiod[:n])

@@ -316,6 +316,9 @@ class QuotientComplex:
     def __hash__(self):
         return hash(self.beta)
 
+    def __repr__(self):
+        return f"QuotientComplex({self.beta!r})"
+
     def face_at(self, a: int, b: int, o: int) -> int:
         """Face index of the plane triangle anchored at a + b*alpha with orientation o."""
         return self._face_of[2 * self._index(a, b) + o]

@@ -652,6 +652,8 @@ def reference_ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepRepor
     for a, b in betas:
         if gcd(a, b) != 1 or not (1 <= a <= b):
             raise DomainError(f"baseline ({a}, {b}) is not canonical primitive")
+        if (a, b) in baselines:
+            raise DomainError(f"baseline ({a}, {b}) is repeated")
         baselines[(a, b)] = cf_eta(a, b)
     for (a, b), base_eta in baselines.items():
         n0, d0 = base_eta.numerator, base_eta.denominator

@@ -98,16 +98,26 @@ def test_the_library_does_not_import_the_oracles():
 
 def test_importing_the_library_loads_neither_dataclasses_nor_inspect():
     # each CLI command pays for what the import loads; the records are built
-    # by eisenfold._record, and dataclasses would bring inspect, ast and dis
+    # by eisenfold._record, and dataclasses would bring inspect, ast and dis.
+    # Nor does the library compile source text on import: the standard
+    # library modules it uses are imported first, so a compile of "<string>"
+    # after that (an exec or eval) is the library's own
+    modules = pathlib.Path(eisenfold.__file__).parent.glob("*.py")
+    stdlib = sorted({name.split(".")[0] for path in modules for name in _absolute_imports(path)}
+                    - {"eisenfold"})
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
+        f"import {', '.join(stdlib)}\n"
+        "compiles = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>'"
+        " and compiles.append(args[1]))\n"
         "import eisenfold, eisenfold.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), len(compiles))\n"
     )
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout.split() == ["[]"]
+    assert done.stdout.split() == ["[]", "0"]
 
 
 def test_every_module_reads_each_name_it_imports():

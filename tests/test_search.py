@@ -335,11 +335,15 @@ def test_ie_sweep_small():
     assert rep.checked > 0
 
 
-@pytest.mark.parametrize("betas", [[(0, 1)], [(2, 4)], [(3, 2)], [(1, 2), (2, 3), (1, 2)]])
+@pytest.mark.parametrize("betas", [[(0, 1)], [(2, 4)], [(3, 2)], [(1, 2), (2, 3), (1, 2)],
+                                   [(1, 3), (1, 3)]])
 def test_ie_sweep_rejects_a_baseline_without_a_flower_or_listed_twice(betas):
-    # a repeated pair would key one baseline and report it once
+    # a repeated pair would key one baseline and report it once; the
+    # row-by-row oracle rejects the same lists
     with pytest.raises(DomainError):
         ie_sweep(betas, 20)
+    with pytest.raises(DomainError):
+        reference_ie_sweep(betas, 20)
 
 
 @pytest.mark.parametrize("base", [(1, 2), (2, 3), (3, 5), (1, 3)])
