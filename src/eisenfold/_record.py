@@ -1,65 +1,46 @@
 """Record classes whose fields are the parameters of their own `__init__`.
 
-`@record`, `@record(frozen=True)` and `@record(frozen=True, slots=True)`
-turn a class that writes its own straight-line `__init__` into a record
-with the behaviour of the matching `dataclass`:
+`@record` turns a class that writes its own straight-line `__init__` into
+an immutable value, the one kind of record the library has:
 
 - the fields are that `__init__`'s parameters after `self`, in order,
   with their defaults in its signature; the `__init__` sets every field
-  (a frozen one through `setfield`) and then checks them;
-- `repr` is `Name(field=value, ...)` and `==` compares the field tuples
-  of two instances of one class;
-- a frozen record hashes as its field tuple and raises AttributeError on
-  assigning or deleting an attribute; a mutable one is unhashable;
-- a slots record has no `__dict__` and pickles its field values.
+  through `setfield` and then checks them;
+- `repr` is `Name(field=value, ...)`, `==` compares the field tuples of
+  two instances of one class, and a record hashes as its field tuple;
+- assigning or deleting an attribute raises AttributeError;
+- the fields are the class's `__slots__`, so a record has no `__dict__`,
+  and it pickles its field values.
 
 Nothing is generated or compiled: the decorator reads the field names
-from the `__init__`'s code object, and the other methods are the shared
-functions below, which find the class's field names in `__match_args__`
-and their values through `__record_key__`.  A method the class body
-defines itself is kept.
+from the `__init__`'s code object, rebuilds the class with those slots,
+and adds the shared functions below, which find the field names in
+`__match_args__` and their values through `__record_key__`.  A method the
+class body defines itself is kept.
 """
 
 from operator import attrgetter
 
-# how a frozen record's `__init__` sets its fields
+# how a record's `__init__` sets its fields
 setfield = object.__setattr__
 
 
-def record(cls=None, /, *, frozen=False, slots=False):
+def record(cls):
     """Class decorator; see the module docstring."""
-
-    def wrap(cls):
-        return _build(cls, frozen, slots)
-
-    return wrap if cls is None else wrap(cls)
-
-
-def _build(cls, frozen, slots):
     body = cls.__dict__
     code = body["__init__"].__code__
     names = code.co_varnames[1:code.co_argcount]
-    if slots:
-        ns = {k: v for k, v in body.items() if k not in ("__dict__", "__weakref__")}
-        ns["__slots__"] = names
-        qualname = cls.__qualname__
-        cls = type(cls)(cls.__name__, cls.__bases__, ns)
-        cls.__qualname__ = qualname
-        cls.__getstate__ = _getstate
-        cls.__setstate__ = _setstate
-
-    cls.__match_args__ = names
+    ns = {k: v for k, v in body.items() if k not in ("__dict__", "__weakref__")}
     # attrgetter of one name returns the bare value, not a 1-tuple
-    cls.__record_key__ = (attrgetter(*names) if len(names) > 1 else
-                          staticmethod(lambda self: tuple(getattr(self, n) for n in names)))
-    methods = {"__repr__": _repr, "__eq__": _eq, "__hash__": _hash if frozen else None}
-    if frozen:
-        methods["__setattr__"] = _frozen_setattr
-        methods["__delattr__"] = _frozen_delattr
-    for name, fn in methods.items():
-        if name not in body:
-            setattr(cls, name, fn)
-    return cls
+    key = (attrgetter(*names) if len(names) > 1 else
+           staticmethod(lambda self: tuple(getattr(self, n) for n in names)))
+    ns.update(__slots__=names, __match_args__=names, __record_key__=key,
+              __qualname__=cls.__qualname__, __getstate__=_getstate,
+              __setstate__=_setstate)
+    for name, fn in (("__repr__", _repr), ("__eq__", _eq), ("__hash__", _hash),
+                     ("__setattr__", _frozen_setattr), ("__delattr__", _frozen_delattr)):
+        ns.setdefault(name, fn)
+    return type(cls)(cls.__name__, cls.__bases__, ns)
 
 
 def _repr(self):

@@ -188,7 +188,7 @@ def _cmd_sweep_ie(args) -> int:
         "b_max": args.b_max,
         "baselines": {
             f"{a},{b}": [jsonio.jint(n), jsonio.jint(d)]
-            for (a, b), (n, d) in sorted(rep.baselines.items())
+            for (a, b), (n, d) in sorted(rep.baselines)
         },
         "checked": rep.checked,
         "violations": [list(map(list, v)) for v in rep.violations],

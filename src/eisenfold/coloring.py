@@ -27,7 +27,7 @@ class DevelopmentError(RuntimeError):
     """A monochrome region failed to develop into an embedded lattice polygon."""
 
 
-@record(frozen=True)
+@record
 class FaceColoring:
     def __init__(self, complex: QuotientComplex, colors: tuple[int, ...]):
         setfield(self, "complex", complex)
@@ -50,7 +50,7 @@ class FaceColoring:
         return "".join("1" if c == BLACK else "0" for c in self.colors)
 
 
-@record(frozen=True)
+@record
 class GoodnessReport:
     def __init__(self, good: bool, violations: tuple[int, ...], mod6: bool):
         setfield(self, "good", good)
@@ -287,7 +287,7 @@ _SIDES = tuple(
 )
 
 
-@record(frozen=True)
+@record
 class MonochromeRegion:
     def __init__(self, color: int, faces: frozenset[int], boundary_length: int,
                  lifted_polygon: tuple[EisensteinInt, ...]):

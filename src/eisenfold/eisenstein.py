@@ -18,7 +18,7 @@ class DomainError(ValueError):
     """Raised when an argument is outside an operation's domain."""
 
 
-@record(frozen=True, slots=True)
+@record
 class EisensteinInt:
     """Lattice point a + b*alpha with norm a^2 + ab + b^2."""
 

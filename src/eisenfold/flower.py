@@ -1,7 +1,7 @@
 """Trapezoid necklaces, capped flowers, and the periodic planar coloring.
 
 A necklace of aspect a/b is six congruent lattice trapezoids arranged with
-six-fold rotational symmetry around a center, consecutive ones meeting at
+six-fold rotational symmetry around the origin, consecutive ones meeting at
 single vertices.  Iterating the slow Gauss map on the aspect ratio nests
 necklaces inward until aspect 1/1; alternating their colors, filling the
 six central triangles, and capping the convex hull produces a hexagonal
@@ -43,20 +43,19 @@ def _rot_poly(poly, k):
     return poly
 
 
-@record(frozen=True, slots=True)
+@record
 class Trapezoid:
     """One necklace trapezoid: diagonal sides of length a, top of length b.
 
-    slot is the rotation position (0..5) around the center; mirrored picks
+    slot is the rotation position (0..5) around the origin; mirrored picks
     the reflected placement of the model trapezoid.  The slot-0 unmirrored
     model has vertices a+b*alpha, (a-b)+b*alpha, (2a-b)+(b-a)*alpha,
     a+(b-a)*alpha; the bottom degenerates to a point when a = b.
     """
 
-    def __init__(self, a: int, b: int, center: EisensteinInt, slot: int, mirrored: bool):
+    def __init__(self, a: int, b: int, slot: int, mirrored: bool):
         setfield(self, "a", a)
         setfield(self, "b", b)
-        setfield(self, "center", center)
         setfield(self, "slot", slot)
         setfield(self, "mirrored", mirrored)
 
@@ -71,9 +70,7 @@ class Trapezoid:
         quad = [(2 * a - b, b - a), (a, b - a), (a, b), (a - b, b)]
         if self.mirrored:
             quad = [(x + y, -y) for (x, y) in quad]
-        quad = _rot_poly(quad, self.slot)
-        c = self.center
-        return tuple(EisensteinInt(x + c.a, y + c.b) for (x, y) in quad)
+        return tuple(EisensteinInt(x, y) for (x, y) in _rot_poly(quad, self.slot))
 
     def vertices(self) -> tuple[EisensteinInt, ...]:
         """Corners in ccw cyclic order (for half-plane containment tests)."""
@@ -84,42 +81,37 @@ class Trapezoid:
         return [(3 * v.a, 3 * v.b) for v in self.vertices()]
 
 
-@record(frozen=True, slots=True)
+@record
 class Necklace:
     """Six rotation-equivalent trapezoids meeting consecutively at points."""
 
-    def __init__(self, center: EisensteinInt, aspect: Fraction, mirrored: bool,
-                 trapezoids: tuple[Trapezoid, ...]):
-        setfield(self, "center", center)
+    def __init__(self, aspect: Fraction, mirrored: bool, trapezoids: tuple[Trapezoid, ...]):
         setfield(self, "aspect", aspect)
         setfield(self, "mirrored", mirrored)
         setfield(self, "trapezoids", trapezoids)
 
 
-def necklace(aspect: Fraction, center: EisensteinInt, mirrored: bool = False) -> Necklace:
-    """The unique necklace of the given aspect about center (per chirality)."""
+def necklace(aspect: Fraction, mirrored: bool = False) -> Necklace:
+    """The unique necklace of the given aspect about the origin (per chirality)."""
     if not isinstance(aspect, Fraction) or not 0 < aspect <= 1:
         raise DomainError(f"aspect must be a Fraction in (0, 1], got {aspect}")
     a, b = aspect.numerator, aspect.denominator
-    traps = tuple(
-        Trapezoid(a, b, center, slot, mirrored) for slot in range(6)
-    )
-    return Necklace(center, aspect, mirrored, traps)
+    traps = tuple(Trapezoid(a, b, slot, mirrored) for slot in range(6))
+    return Necklace(aspect, mirrored, traps)
 
 
 def necklace_gamma(x: Necklace) -> Necklace:
     """The nested child necklace; aspect advances by the slow Gauss map.
 
-    The child keeps the center; its chirality flips exactly when the parent
-    aspect exceeds 1/2.  Then each child trapezoid's top is a side of a
-    parent trapezoid, and one of its diagonal sides is a side of an adjacent
-    parent trapezoid; the tests check these incidences, this function does
-    not.
+    The child's chirality flips exactly when the parent aspect exceeds
+    1/2.  Then each child trapezoid's top is a side of a parent trapezoid,
+    and one of its diagonal sides is a side of an adjacent parent
+    trapezoid; the tests check these incidences, this function does not.
     """
     if x.aspect == 1:
         raise DomainError("aspect 1/1 is the orbit floor")
     child_mirrored = (not x.mirrored) if x.aspect > Fraction(1, 2) else x.mirrored
-    return necklace(slow_gauss(x.aspect), x.center, child_mirrored)
+    return necklace(slow_gauss(x.aspect), child_mirrored)
 
 
 def empty_flower(aspect: Fraction) -> list[tuple[Necklace, int]]:
@@ -127,7 +119,7 @@ def empty_flower(aspect: Fraction) -> list[tuple[Necklace, int]]:
 
     Outermost first; the innermost 1/1 necklace is white.
     """
-    chain = [necklace(aspect, EisensteinInt(0, 0))]
+    chain = [necklace(aspect)]
     while chain[-1].aspect != 1:
         chain.append(necklace_gamma(chain[-1]))
     L = len(chain)
@@ -139,22 +131,24 @@ _FILL_UP = ((1, 1), (-2, 1), (1, -2))
 _FILL_DOWN = ((-1, 2), (2, -1), (-1, -1))
 
 
-@record(frozen=True)
+@record
 class CappedFlower:
     """Hexagonal coloring template: necklaces plus center fill plus corner caps.
 
     The tile is the regular hexagon with corners alpha^k * beta; corner cap
     regions merge with their neighbors' mirror images into monochrome
     lattice parallelograms, so the induced plane coloring is total.
+    fill_color is the color of the three central up triangles (_FILL_UP);
+    the three down triangles (_FILL_DOWN) take 1 - fill_color.
     """
 
     def __init__(self, beta: EisensteinInt, necklaces: tuple[Necklace, ...],
-                 necklace_colors: tuple[int, ...], fill_colors: dict, cap_color: int,
+                 necklace_colors: tuple[int, ...], fill_color: int, cap_color: int,
                  _caps: tuple):
         setfield(self, "beta", beta)
         setfield(self, "necklaces", necklaces)
         setfield(self, "necklace_colors", necklace_colors)
-        setfield(self, "fill_colors", fill_colors)
+        setfield(self, "fill_color", fill_color)
         setfield(self, "cap_color", cap_color)
         setfield(self, "_caps", _caps)  # six cap quads, tripled
 
@@ -172,8 +166,8 @@ class CappedFlower:
             for t in n.trapezoids[:2]:
                 yield ("quad", t.quad_tripled(), color)
         yield ("quad", self._caps[0], self.cap_color)
-        for c3 in (_FILL_UP[0], _FILL_DOWN[0]):
-            yield ("fill", c3, self.fill_colors[c3])
+        yield ("fill", _FILL_UP[0], self.fill_color)
+        yield ("fill", _FILL_DOWN[0], 1 - self.fill_color)
 
 
 def fill_and_cap(
@@ -195,9 +189,6 @@ def fill_and_cap(
 
     necklaces = tuple(n for n, _ in flower)
     necklace_colors = tuple(c for _, c in flower)
-    up_color = BLACK if fill_phase == 0 else WHITE
-    fill_colors = {p: up_color for p in _FILL_UP}
-    fill_colors.update({p: 1 - up_color for p in _FILL_DOWN})
     cap_color = 1 - necklace_colors[0]
 
     # cap parallelogram at hull edge [beta, alpha*beta], then its rotates
@@ -205,15 +196,13 @@ def fill_and_cap(
     albeta = _rot_pair((a, b))
     c2 = (a + albeta[0], b + albeta[1])
     par = [p2, (a, b), (c2[0] - p2[0], c2[1] - p2[1]), albeta]
-    caps = tuple(
-        [(3 * x, 3 * y) for (x, y) in _rot_poly(par, k)] for k in range(6)
-    )
+    caps = tuple(tuple((3 * x, 3 * y) for (x, y) in _rot_poly(par, k)) for k in range(6))
 
     return CappedFlower(
         beta=EisensteinInt(a, b),
         necklaces=necklaces,
         necklace_colors=necklace_colors,
-        fill_colors=fill_colors,
+        fill_color=BLACK if fill_phase == 0 else WHITE,
         cap_color=cap_color,
         _caps=caps,
     )

@@ -19,7 +19,7 @@ from .coloring import FaceColoring, GoodnessError, fold_count, is_good, monochro
 from .flower import WHITE
 
 
-@record(frozen=True, slots=True)
+@record
 class SpecialHexagon:
     """Convex hexagon with all interior angles 2*pi/3, given by side lengths.
 
@@ -75,7 +75,7 @@ def enumerate_lattice_special_hexagons(perimeter_max: int):
     return out
 
 
-@record(frozen=True)
+@record
 class RegionIsoperimetricReport:
     def __init__(self, region_ratios: tuple[Fraction, ...], min_ratio: Fraction,
                  per_region_bound_holds: bool, fold_total: int, white_face_total: int,

@@ -356,7 +356,7 @@ def _agreeing_prefix(x: tuple[int, int], y: tuple[int, int]) -> list[int]:
     return prefix
 
 
-@record(frozen=True)
+@record
 class EtaLimitResult:
     def __init__(self, zeta: QuadraticSurd, surd: QuadraticSurd, expansion: CFExpansion,
                  depths_used: tuple[int, int], prefix_length: int):
@@ -449,7 +449,7 @@ def _detect_period(terms: list[int]):
     return None
 
 
-@record(frozen=True)
+@record
 class ScanRow:
     def __init__(self, n: int, p: int, q: int, fold: int, faces: int, fold_ratio: Fraction,
                  eta_ratio: Fraction):

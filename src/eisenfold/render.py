@@ -22,7 +22,7 @@ _FOLD_STROKE = "#FF0000"
 _RHOMBUS_STROKE = "#0000FF"
 
 
-@record(frozen=True)
+@record
 class RenderSpec:
     def __init__(self, beta: EisensteinInt, domains: int = 1, show_rhombus: bool = True,
                  show_folds: bool = True, scale: float = 40.0, colored: bool = True):

@@ -367,7 +367,7 @@ def iter_good_colorings(c: QuotientComplex):
 # minimum-fold search
 
 
-@record(frozen=True)
+@record
 class SearchBudget:
     """At most max_nodes nodes (per subtree task) and max_seconds of wall
     time; None leaves that side unbounded."""
@@ -385,13 +385,13 @@ class SearchBudget:
 class SearchReport:
     def __init__(self, beta: EisensteinInt, best_fold: int, best_coloring: FaceColoring,
                  status: str, nodes_explored: int, wall_time: float, proven_lower_bound: int):
-        self.beta = beta
-        self.best_fold = best_fold
-        self.best_coloring = best_coloring
-        self.status = status  # "ProvedOptimal" | "Incumbent"
-        self.nodes_explored = nodes_explored
-        self.wall_time = wall_time
-        self.proven_lower_bound = proven_lower_bound
+        setfield(self, "beta", beta)
+        setfield(self, "best_fold", best_fold)
+        setfield(self, "best_coloring", best_coloring)
+        setfield(self, "status", status)  # "ProvedOptimal" | "Incumbent"
+        setfield(self, "nodes_explored", nodes_explored)
+        setfield(self, "wall_time", wall_time)
+        setfield(self, "proven_lower_bound", proven_lower_bound)
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         from .jsonio import jint
@@ -649,7 +649,10 @@ def _exact_search(c, max_nodes, deadline, nthreads, checkpoint_out, resume):
             ties += found
         complete = complete and done
         nodes += n
-        frontier += open_
+        # a stop lists every untried choice; keep those a resume can enter,
+        # each at the folds its replay reaches
+        frontier += [(bits, state[4]) for bits, _ in open_
+                     if (state := _replay(tables, bits)) is not None]
     best = _lex_best(ties)
     if checkpoint_out is not None and not complete:
         doc = {
@@ -693,10 +696,10 @@ def _anytime_search(c, max_nodes, deadline):
 # the order-comparison sweep
 
 
-@record(frozen=True)
+@record
 class IeSweepReport:
-    def __init__(self, baselines: dict, checked: int, violations: tuple):
-        setfield(self, "baselines", baselines)
+    def __init__(self, baselines: tuple, checked: int, violations: tuple):
+        setfield(self, "baselines", baselines)  # ((a, b), (n, d)) per baseline, eta = n/d
         setfield(self, "checked", checked)
         setfield(self, "violations", violations)
 
@@ -747,7 +750,7 @@ def ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepReport:
             found.remove((b, a))
         violations += [((a, b), (a2, b2)) for b2, a2 in sorted(found)]
     return IeSweepReport(
-        baselines={k: (v.numerator, v.denominator) for k, v in baselines.items()},
+        baselines=tuple((k, (v.numerator, v.denominator)) for k, v in baselines.items()),
         checked=checked,
         violations=tuple(violations),
     )

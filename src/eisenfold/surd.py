@@ -41,7 +41,7 @@ def _extract_square(n: int) -> tuple[int, int]:
     return k, m
 
 
-@record(frozen=True, slots=True)
+@record
 class QuadraticSurd:
     """Value r + s*sqrt(d) with r, s rational and d squarefree positive."""
 
@@ -152,7 +152,7 @@ class QuadraticSurd:
         return f"{self.r} + {self.s}*sqrt({self.d})"
 
 
-@record(frozen=True)
+@record
 class CFExpansion:
     """Eventually periodic continued fraction; minimal period and preperiod."""
 

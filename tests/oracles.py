@@ -26,6 +26,8 @@ from eisenfold.eisenstein import (
     slow_gauss,
 )
 from eisenfold.flower import (
+    _FILL_DOWN,
+    _FILL_UP,
     _maximal_runs,
     BLACK,
     WHITE,
@@ -434,9 +436,10 @@ def point_in_convex(poly, px, py) -> bool:
 
 
 def classify_local(cf: CappedFlower, px: int, py: int):
-    hit = cf.fill_colors.get((px, py))
-    if hit is not None:
-        return hit
+    if (px, py) in _FILL_UP:
+        return cf.fill_color
+    if (px, py) in _FILL_DOWN:
+        return 1 - cf.fill_color
     np_ = px * px + px * py + py * py
     for n, color in zip(cf.necklaces, cf.necklace_colors):
         # no point of a level lies past the norm of its outer corners
@@ -491,8 +494,10 @@ def tile_regions(cf: CappedFlower, swap: bool = False):
         for t in n.trapezoids:
             yield ("quad", t.quad_tripled(), color ^ swap)
     for k in range(3):
-        yield ("quad", cf._caps[k], cf.cap_color ^ swap)
-    for c3, color in sorted(cf.fill_colors.items()):
+        yield ("quad", list(cf._caps[k]), cf.cap_color ^ swap)
+    fills = ([(c3, cf.fill_color) for c3 in _FILL_UP]
+             + [(c3, 1 - cf.fill_color) for c3 in _FILL_DOWN])
+    for c3, color in sorted(fills):
         yield ("fill", c3, color ^ swap)
 
 
@@ -665,7 +670,7 @@ def reference_ie_sweep(betas: list[tuple[int, int]], b_max: int) -> IeSweepRepor
                 if not n0 * cf_face_count(a2, b2) < cf_fold_count(a2, b2) ** 2 * d0:
                     violations.append(((a, b), (a2, b2)))
     return IeSweepReport(
-        baselines={k: (v.numerator, v.denominator) for k, v in baselines.items()},
+        baselines=tuple((k, (v.numerator, v.denominator)) for k, v in baselines.items()),
         checked=checked,
         violations=tuple(violations),
     )

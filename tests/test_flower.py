@@ -32,20 +32,18 @@ from oracles import (
     triangle_count,
 )
 
-O = EisensteinInt(0, 0)
-
 
 def _pairs(points):
     return {(p.a, p.b) for p in points}
 
 
 def test_necklace_model_vertices_3_5():
-    n = necklace(Fraction(3, 5), O)
+    n = necklace(Fraction(3, 5))
     assert _pairs(n.trapezoids[0].corners()) == {(3, 5), (-2, 5), (1, 2), (3, 2)}
 
 
 def test_necklace_degenerate_1_1():
-    n = necklace(Fraction(1, 1), O)
+    n = necklace(Fraction(1, 1))
     assert _pairs(n.trapezoids[0].corners()) == {(1, 1), (0, 1), (1, 0)}
 
 
@@ -62,7 +60,7 @@ def test_adjacent_trapezoids_meet_at_the_formula_point(a, b):
     # k + 1 meet at the conjugate of the point where slots -k - 1 and -k do
     p = EisensteinInt(a - b, b)
     for mirrored in (False, True):
-        n = necklace(Fraction(a, b), O, mirrored)
+        n = necklace(Fraction(a, b), mirrored)
         for k in range(6):
             v1 = set(n.trapezoids[k].corners())
             v2 = set(n.trapezoids[(k + 1) % 6].corners())
@@ -75,17 +73,17 @@ def test_adjacent_trapezoids_meet_at_the_formula_point(a, b):
 
 
 def test_necklace_gamma_aspects():
-    n = necklace(Fraction(3, 5), O)
+    n = necklace(Fraction(3, 5))
     assert necklace_gamma(n).aspect == Fraction(2, 3)
-    n = necklace(Fraction(3, 7), O)
+    n = necklace(Fraction(3, 7))
     assert necklace_gamma(n).aspect == Fraction(3, 4)
-    n = necklace(Fraction(1, 2), O)
+    n = necklace(Fraction(1, 2))
     assert necklace_gamma(n).aspect == Fraction(1, 1)
 
 
 def test_necklace_gamma_rejects_floor():
     with pytest.raises(DomainError):
-        necklace_gamma(necklace(Fraction(1, 1), O))
+        necklace_gamma(necklace(Fraction(1, 1)))
 
 
 def test_necklace_gamma_chain_verifies_incidences_broadly():
@@ -94,7 +92,7 @@ def test_necklace_gamma_chain_verifies_incidences_broadly():
         for a in range(1, b + 1):
             if gcd(a, b) != 1:
                 continue
-            chain = necklace(Fraction(a, b), O)
+            chain = necklace(Fraction(a, b))
             check_necklace(chain)
             while chain.aspect != 1:
                 child = necklace_gamma(chain)
@@ -117,7 +115,7 @@ def test_wrong_chirality_child_is_rejected_below_the_innermost_level(a, b):
     colors = paint_from_flower(fill_and_cap(flower, beta), c).colors
     for i in range(1, len(flower)):
         n, color = flower[i]
-        flipped = necklace(n.aspect, n.center, not n.mirrored)
+        flipped = necklace(n.aspect, not n.mirrored)
         mutant = flower[:i] + [(flipped, color)] + flower[i + 1:]
         if i < len(flower) - 1:
             with pytest.raises(AssertionError):
@@ -136,14 +134,12 @@ def test_aspect_functoriality_b_le_100():
         for a in range(1, b):
             if gcd(a, b) != 1:
                 continue
-            x = necklace(Fraction(a, b), O)
+            x = necklace(Fraction(a, b))
             assert necklace_gamma(x).aspect == slow_gauss(x.aspect)
 
 
 @pytest.mark.parametrize("aspect", [0.5, Fraction(3, 2), Fraction(0)])
-@pytest.mark.parametrize(
-    "build", [lambda x: necklace(x, O), empty_flower], ids=["necklace", "empty_flower"]
-)
+@pytest.mark.parametrize("build", [necklace, empty_flower], ids=["necklace", "empty_flower"])
 def test_aspect_outside_the_rule_is_a_domain_error(build, aspect):
     # necklace holds the rule, a Fraction in (0, 1]; empty_flower and (see
     # test_render.py) render_flower_svg reach it through necklace

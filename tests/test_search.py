@@ -331,7 +331,7 @@ def test_search_json_shape():
 def test_ie_sweep_small():
     rep = ie_sweep([(1, 2)], b_max=40)
     assert rep.violations == ()
-    assert rep.baselines[(1, 2)] == (169, 14)
+    assert rep.baselines == (((1, 2), (169, 14)),)
     assert rep.checked > 0
 
 
@@ -452,13 +452,13 @@ def test_budget_stop_frontier_resumes_the_uninterrupted_search(beta):
 
 
 # sha256 of the checkpoint a 1-worker node budget writes, with its frontier
-# size and proven lower bound, recorded while a budget stop still unwound
-# the stack one choice at a time
+# size and proven lower bound; the frontier keeps only the prefixes that
+# _replay accepts
 CHECKPOINT_PINS = {
-    ((2, 3), 40): ("313544d3b29f5b18f694e4a1321789c2c388c9446a21d1ec830a91905b834180", 12, 11),
-    ((2, 3), 3000): ("be14a888e1d8072267a96656c21aae86cc0ccaf1e304877434e623599f65fb72", 14, 11),
-    ((3, 4), 100_000): ("8c8a663b664579fa2c72ba4a952891cffa11ec49cf1a3f27de52a644f03a6db2",
-                        19, 15),
+    ((2, 3), 40): ("4a983722c9d88f92c87edcb83e4458f941a792ca8d4b9539f37250deb87e132a", 11, 11),
+    ((2, 3), 3000): ("52089264266bb0db62681a584a79c7c95fa126dd93da4beb438a95fd5c8cd2dc", 4, 11),
+    ((3, 4), 100_000): ("10335240b692dda5c5af47611693a4fcf929f29738b36d97b4996e46561bf5d5",
+                        9, 15),
 }
 
 
@@ -470,6 +470,17 @@ def test_budget_stop_checkpoint_is_pinned(tmp_path, beta, max_nodes):
     raw = ck.read_bytes()
     assert (hashlib.sha256(raw).hexdigest(), len(json.loads(raw)["frontier"]),
             rep.proven_lower_bound) == CHECKPOINT_PINS[(beta, max_nodes)]
+
+
+@pytest.mark.parametrize("beta, max_nodes", sorted(CHECKPOINT_PINS))
+def test_budget_stop_checkpoint_lists_only_prefixes_a_resume_enters(tmp_path, beta, max_nodes):
+    ck = tmp_path / "ck.json"
+    c = build_complex(EisensteinInt(*beta))
+    min_fold_search(c, mode="exact", budget=SearchBudget(max_nodes=max_nodes),
+                    checkpoint_out=str(ck))
+    tables = _Tables(c)
+    frontier = json.loads(ck.read_bytes())["frontier"]
+    assert frontier and all(_replay(tables, e["prefix"]) is not None for e in frontier)
 
 
 # small betas whose good colorings are all enumerated in about a second
