@@ -53,7 +53,7 @@ def _parse_aspect(text: str) -> Fraction:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
@@ -68,9 +68,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_color(args) -> int:
     beta = _parse_beta(args.beta)
-    col = continued_fraction_coloring(beta, fill_phase=args.fill_phase)
-    if args.swap:
-        col = col.swapped()
+    col = continued_fraction_coloring(beta)
     _emit(jsonio.dumps(to_json_dict(col)), args.out)
     return 0
 
@@ -96,7 +94,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    if args.infile:
+    if args.infile is not None:
         col = _read_coloring(args.infile)
     else:
         col = continued_fraction_coloring(_parse_beta(args.beta))
@@ -163,13 +161,10 @@ def _cmd_eta_limit(args) -> int:
 
 def _cmd_search(args) -> int:
     c = build_complex(_parse_beta(args.beta))
-    budget = None
-    if args.max_nodes is not None or args.max_seconds is not None:
-        budget = SearchBudget(args.max_nodes, args.max_seconds)
     rep = min_fold_search(
         c,
         mode=args.mode,
-        budget=budget,
+        budget=SearchBudget(args.max_nodes, args.max_seconds),
         threads=args.threads,
         checkpoint_out=args.checkpoint_out,
         resume=args.resume,
@@ -198,9 +193,9 @@ def _cmd_sweep_ie(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.flower:
+    if args.flower is not None:
         ignored = [flag for flag, on in (
-            ("--beta", args.beta is not None), ("--domains", args.domains is not None),
+            ("--domains", args.domains is not None),
             ("--bare", args.bare), ("--no-rhombus", args.no_rhombus), ("--no-folds", args.no_folds),
         ) if on]
         if ignored:
@@ -280,8 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="continued-fraction coloring (coloring.v1)")
     p.add_argument("--beta", required=True)
-    p.add_argument("--swap", action="store_true", help="swap the two colors")
-    p.add_argument("--fill-phase", type=decimal_int, choices=(0, 1), default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_color)
 
@@ -323,8 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep_ie)
 
     p = sub.add_parser("render", help="deterministic SVG of a coloring or flower")
-    p.add_argument("--beta")
-    p.add_argument("--flower", help="aspect 'p/q' for an empty-flower diagram")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--beta")
+    group.add_argument("--flower", help="aspect 'p/q' for an empty-flower diagram")
     p.add_argument("--domains", type=decimal_int, help="fundamental domains per side (default 1)")
     p.add_argument("--no-rhombus", action="store_true")
     p.add_argument("--no-folds", action="store_true")
@@ -341,8 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "render" and not args.flower and not args.beta:
-            raise DomainError("render needs --beta or --flower")
         return args.fn(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -115,7 +115,6 @@ def paint_from_flower(cf: CappedFlower, c: QuotientComplex) -> FaceColoring:
 def continued_fraction_coloring(
     beta: EisensteinInt,
     c: QuotientComplex | None = None,
-    fill_phase: int = 0,
 ) -> FaceColoring:
     """The quotient of the capped-flower plane coloring; good by construction."""
     if beta.is_zero() or not is_primitive(beta):
@@ -126,7 +125,7 @@ def continued_fraction_coloring(
         raise DomainError("complex does not belong to beta")
     if c.beta.a < 1:
         raise DomainError(f"degenerate beta {c.beta}: the flower needs 1 <= a <= b")
-    cf = capped_flower(c.beta, fill_phase=fill_phase)
+    cf = capped_flower(c.beta)
     return paint_from_flower(cf, c)
 
 

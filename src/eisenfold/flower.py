@@ -138,17 +138,15 @@ class CappedFlower:
     The tile is the regular hexagon with corners alpha^k * beta; corner cap
     regions merge with their neighbors' mirror images into monochrome
     lattice parallelograms, so the induced plane coloring is total.
-    fill_color is the color of the three central up triangles (_FILL_UP);
-    the three down triangles (_FILL_DOWN) take 1 - fill_color.
+    The three central up triangles (_FILL_UP) are black and the three down
+    triangles (_FILL_DOWN) white.
     """
 
     def __init__(self, beta: EisensteinInt, necklaces: tuple[Necklace, ...],
-                 necklace_colors: tuple[int, ...], fill_color: int, cap_color: int,
-                 _caps: tuple):
+                 necklace_colors: tuple[int, ...], cap_color: int, _caps: tuple):
         setfield(self, "beta", beta)
         setfield(self, "necklaces", necklaces)
         setfield(self, "necklace_colors", necklace_colors)
-        setfield(self, "fill_color", fill_color)
         setfield(self, "cap_color", cap_color)
         setfield(self, "_caps", _caps)  # six cap quads, tripled
 
@@ -166,19 +164,15 @@ class CappedFlower:
             for t in n.trapezoids[:2]:
                 yield ("quad", t.quad_tripled(), color)
         yield ("quad", self._caps[0], self.cap_color)
-        yield ("fill", _FILL_UP[0], self.fill_color)
-        yield ("fill", _FILL_DOWN[0], 1 - self.fill_color)
+        yield ("fill", _FILL_UP[0], BLACK)
+        yield ("fill", _FILL_DOWN[0], WHITE)
 
 
-def fill_and_cap(
-    flower: list[tuple[Necklace, int]],
-    beta: EisensteinInt,
-    fill_phase: int = 0,
-) -> CappedFlower:
+def fill_and_cap(flower: list[tuple[Necklace, int]], beta: EisensteinInt) -> CappedFlower:
     """Fill the six central triangles and cap the convex hull of the flower.
 
-    The fill alternates around the center (phase picks which of the two
-    alternations); cap triangles take the color opposite the outermost
+    The fill alternates around the center, up triangles black and down
+    triangles white; cap triangles take the color opposite the outermost
     necklace.
     """
     a, b = beta.a, beta.b
@@ -202,13 +196,12 @@ def fill_and_cap(
         beta=EisensteinInt(a, b),
         necklaces=necklaces,
         necklace_colors=necklace_colors,
-        fill_color=BLACK if fill_phase == 0 else WHITE,
         cap_color=cap_color,
         _caps=caps,
     )
 
 
-def capped_flower(beta: EisensteinInt, fill_phase: int = 0) -> CappedFlower:
+def capped_flower(beta: EisensteinInt) -> CappedFlower:
     """Build the full template for a canonical primitive beta with 1 <= a <= b.
 
     Any other beta raises DomainError: necklace rejects an aspect a/b
@@ -216,7 +209,7 @@ def capped_flower(beta: EisensteinInt, fill_phase: int = 0) -> CappedFlower:
     aspect, so no flower is built and fill_and_cap rejects beta.
     """
     flower = empty_flower(Fraction(beta.a, beta.b)) if beta.b else []
-    return fill_and_cap(flower, beta, fill_phase)
+    return fill_and_cap(flower, beta)
 
 
 def _maximal_runs(necklaces) -> list[tuple[int, int]]:

@@ -451,8 +451,8 @@ def _fold_floor(F: int) -> int:
 def min_fold_search(
     c: QuotientComplex,
     mode: str = "exact",
-    budget: SearchBudget | None = None,
-    threads: int | None = None,
+    budget: SearchBudget = SearchBudget(),
+    threads: int = 1,
     seed: int = 0,
     checkpoint_out: str | None = None,
     resume: str | None = None,
@@ -468,24 +468,23 @@ def min_fold_search(
     Both modes report ProvedOptimal when the best fold meets the floor
     `_fold_floor`, and never a lower bound below it.  `budget.max_seconds`
     is one deadline for the whole run, every worker included.  threads,
-    checkpoint_out and resume belong to exact mode; anytime mode rejects
-    them (threads=1 aside).  Nothing reads seed: the anytime walk has
-    nothing random in it, and the keyword stays for callers that pass it.
+    checkpoint_out and resume belong to exact mode; anytime mode runs one
+    worker and rejects the other two.  Nothing reads seed: the anytime walk
+    has nothing random in it, and the keyword stays for callers that pass it.
     """
     if mode not in ("exact", "anytime"):
         raise DomainError(f"unknown mode {mode!r}")
-    if threads is not None and threads < 1:
+    if threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
-    if mode == "anytime" and (threads not in (None, 1) or checkpoint_out is not None
+    if mode == "anytime" and (threads != 1 or checkpoint_out is not None
                               or resume is not None):
         raise DomainError("threads, checkpoint_out and resume apply to exact mode only")
     t0 = time.monotonic()
-    max_nodes = budget.max_nodes if budget else None
-    seconds = budget.max_seconds if budget else None
+    max_nodes, seconds = budget.max_nodes, budget.max_seconds
     deadline = t0 + seconds if seconds else None
     if mode == "exact":
         best_fold, best, complete, nodes, lb = _exact_search(
-            c, max_nodes, deadline, threads or 1, checkpoint_out, resume)
+            c, max_nodes, deadline, threads, checkpoint_out, resume)
     else:
         best_fold, best, complete, nodes, lb = _anytime_search(c, max_nodes, deadline)
     floor = _fold_floor(c.face_count)

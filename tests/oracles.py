@@ -437,9 +437,9 @@ def point_in_convex(poly, px, py) -> bool:
 
 def classify_local(cf: CappedFlower, px: int, py: int):
     if (px, py) in _FILL_UP:
-        return cf.fill_color
+        return BLACK
     if (px, py) in _FILL_DOWN:
-        return 1 - cf.fill_color
+        return WHITE
     np_ = px * px + px * py + py * py
     for n, color in zip(cf.necklaces, cf.necklace_colors):
         # no point of a level lies past the norm of its outer corners
@@ -495,8 +495,7 @@ def tile_regions(cf: CappedFlower, swap: bool = False):
             yield ("quad", t.quad_tripled(), color ^ swap)
     for k in range(3):
         yield ("quad", list(cf._caps[k]), cf.cap_color ^ swap)
-    fills = ([(c3, cf.fill_color) for c3 in _FILL_UP]
-             + [(c3, 1 - cf.fill_color) for c3 in _FILL_DOWN])
+    fills = [(c3, BLACK) for c3 in _FILL_UP] + [(c3, WHITE) for c3 in _FILL_DOWN]
     for c3, color in sorted(fills):
         yield ("fill", c3, color ^ swap)
 

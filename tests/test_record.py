@@ -93,7 +93,7 @@ REPRS = {
     "CappedFlower": "CappedFlower(beta=EisensteinInt(1, 1), necklaces=(Necklace("
                     "aspect=Fraction(1, 1), mirrored=False, "
                     f"trapezoids=({_traps(1, 1, False)})),), necklace_colors=(0,), "
-                    "fill_color=1, cap_color=1, _caps=(((0, 3), (3, 3), (0, 6), (-3, 6)), "
+                    "cap_color=1, _caps=(((0, 3), (3, 3), (0, 6), (-3, 6)), "
                     "((-3, 3), (-3, 6), (-6, 6), (-6, 3)), ((-3, 0), (-6, 3), (-6, 0), (-3, -3)), "
                     "((0, -3), (-3, -3), (0, -6), (3, -6)), ((3, -3), (3, -6), (6, -6), (6, -3)), "
                     "((3, 0), (6, -3), (6, 0), (3, 3))))",
