@@ -58,6 +58,8 @@ def _svg(scale: float, polys, marks) -> str:
     y0 = min(y for _, y in xy.values()) - pad
     w = max(x for x, _ in xy.values()) - x0 + pad
     h = max(y for _, y in xy.values()) - y0 + pad
+    if not (w < inf and h < inf):
+        raise DomainError(f"scale {scale} makes the picture too large to draw")
     text = {p: (f"{x - x0:.3f}", f"{y - y0:.3f}") for p, (x, y) in xy.items()}
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

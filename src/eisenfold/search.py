@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-import weakref
 from math import gcd, isqrt
 
 from ._record import record, setfield
@@ -46,37 +45,6 @@ def _alternates(colors, star) -> bool:
     return c0 != colors[s1] != colors[s2] != colors[s3] != colors[s4] != colors[s5] != c0
 
 
-class _StarTable:
-    """Star-swap data of one complex: stars[v], the six star faces of v in
-    cyclic order for every degree-6 vertex whose star has six distinct faces
-    (the only vertices a swap can apply to) and None for the others, and
-    capable, those vertices ascending."""
-
-    def __init__(self, c: QuotientComplex):
-        n = c.vertex_count
-        self.stars: list[tuple[int, ...] | None] = [None] * n
-        for v in range(n):
-            if c.degrees[v] == 6:
-                star = tuple(c.vertex_star(v))
-                if len(set(star)) == 6:
-                    self.stars[v] = star
-        self.capable = [v for v in range(n) if self.stars[v] is not None]
-
-    def swappable(self, colors) -> list[int]:
-        stars = self.stars
-        return [v for v in self.capable if _alternates(colors, stars[v])]
-
-
-_star_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _star_table(c: QuotientComplex) -> _StarTable:
-    table = _star_tables.get(c)
-    if table is None:
-        table = _star_tables[c] = _StarTable(c)
-    return table
-
-
 def vertex_swap(col: FaceColoring, v: int) -> FaceColoring:
     """Invert the six faces around an alternating degree-6 vertex.
 
@@ -88,9 +56,7 @@ def vertex_swap(col: FaceColoring, v: int) -> FaceColoring:
         raise DomainError(f"no such vertex {v}")
     if c.degrees[v] != 6:
         raise SwapError(f"vertex {v} has degree {c.degrees[v]}, need 6")
-    star = _star_table(c).stars[v]
-    if star is None:
-        raise SwapError("star revisits a face; colors cannot alternate")
+    star = c.vertex_stars()[v]
     if not _alternates(col.colors, star):
         raise SwapError(f"star of vertex {v} does not alternate")
     return col.flipped(star)
@@ -98,7 +64,9 @@ def vertex_swap(col: FaceColoring, v: int) -> FaceColoring:
 
 def swappable_vertices(col: FaceColoring) -> list[int]:
     """The vertices vertex_swap applies to, ascending."""
-    return _star_table(col.complex).swappable(col.colors)
+    colors = col.colors
+    return [v for v, star in enumerate(col.complex.vertex_stars())
+            if len(star) == 6 and _alternates(colors, star)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +362,14 @@ class SearchReport:
         setfield(self, "proven_lower_bound", proven_lower_bound)
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
-        from .jsonio import jint
-
         doc = {
             "schema": "search.v1",
-            "beta": [jint(self.beta.a), jint(self.beta.b)],
-            "best_fold": jint(self.best_fold),
+            "beta": [jsonio.jint(self.beta.a), jsonio.jint(self.beta.b)],
+            "best_fold": jsonio.jint(self.best_fold),
             "best_coloring": self.best_coloring.bitstring(),
             "status": self.status,
-            "nodes_explored": jint(self.nodes_explored),
-            "proven_lower_bound": jint(self.proven_lower_bound),
+            "nodes_explored": jsonio.jint(self.nodes_explored),
+            "proven_lower_bound": jsonio.jint(self.proven_lower_bound),
         }
         if include_timing:
             doc["wall_time"] = self.wall_time

@@ -128,12 +128,12 @@ class QuotientComplex:
     puts these tuples into the document as they are, so its face and
     vertex dicts hold nothing the collector must trace.
 
-    Immutable after construction, apart from the vertex -> (face, corner)
-    start index that the first `vertex_star` call fills in; safe to share
-    across concurrent readers (racing readers build equal values).
+    Immutable after construction, apart from the table of vertex stars
+    that the first `vertex_stars` call fills in; safe to share across
+    concurrent readers (racing readers build equal values).
     """
 
-    _star_starts: list[tuple[int, int]] | None = None
+    _stars: tuple[tuple[int, ...], ...] | None = None
 
     def __init__(self, beta: EisensteinInt):
         if beta.is_zero():
@@ -347,38 +347,44 @@ class QuotientComplex:
     def degree_sequence(self) -> list[int]:
         return sorted(self.degrees)
 
-    def vertex_star(self, v: int) -> list[int]:
-        """Faces around vertex v in cyclic order (length = degree).
+    def vertex_stars(self) -> tuple[tuple[int, ...], ...]:
+        """Faces around each vertex in cyclic order (length = degree).
 
-        The walk starts at v's first corner in face order.
+        Each walk starts at the vertex's first corner in face order.
         """
+        if self._stars is not None:
+            return self._stars
+        starts = [None] * self.vertex_count
+        for f, ids in enumerate(self.face_vertices):
+            for c, u in enumerate(ids):
+                if starts[u] is None:
+                    starts[u] = (f, c)
+        stars = []
+        for v, start in enumerate(starts):
+            cycle = []
+            f, c = start
+            while True:
+                cycle.append(f)
+                f2, s2 = self.pairing[f][c]  # side c runs from corner c to c+1
+                c2 = s2 if self.face_vertices[f2][s2] == v else (s2 + 1) % 3
+                if self.face_vertices[f2][c2] != v:
+                    raise AssertionError("vertex walk left the star")
+                f, c = f2, c2
+                if (f, c) == start:
+                    break
+                if len(cycle) > self.degrees[v]:
+                    raise AssertionError("vertex star does not close up")
+            if len(cycle) != self.degrees[v]:
+                raise AssertionError("star length disagrees with degree")
+            stars.append(tuple(cycle))
+        self._stars = tuple(stars)
+        return self._stars
+
+    def vertex_star(self, v: int) -> list[int]:
+        """The faces around vertex v, as `vertex_stars()[v]` lists them."""
         if not 0 <= v < self.vertex_count:
             raise DomainError(f"no such vertex {v}")
-        starts = self._star_starts
-        if starts is None:
-            starts = [None] * self.vertex_count
-            for f, ids in enumerate(self.face_vertices):
-                for c, u in enumerate(ids):
-                    if starts[u] is None:
-                        starts[u] = (f, c)
-            self._star_starts = starts
-        start = starts[v]
-        cycle = []
-        f, c = start
-        while True:
-            cycle.append(f)
-            f2, s2 = self.pairing[f][c]  # side c runs from corner c to c+1
-            c2 = s2 if self.face_vertices[f2][s2] == v else (s2 + 1) % 3
-            if self.face_vertices[f2][c2] != v:
-                raise AssertionError("vertex walk left the star")
-            f, c = f2, c2
-            if (f, c) == start:
-                break
-            if len(cycle) > self.degrees[v]:
-                raise AssertionError("vertex star does not close up")
-        if len(cycle) != self.degrees[v]:
-            raise AssertionError("star length disagrees with degree")
-        return cycle
+        return list(self.vertex_stars()[v])
 
     def to_json_dict(self) -> dict:
         from .jsonio import jint

@@ -229,6 +229,9 @@ def test_render_malformed_flower_is_one_error_line(capsys, aspect):
         ["--beta", "2,3", "--scale", "inf"],
         ["--flower", "3/7", "--scale", "-5"],
         ["--flower", "3/7", "--scale", "inf"],
+        ["--beta", "2,3", "--scale", "1e308"],
+        ["--flower", "3/7", "--scale", "1e308"],
+        ["--beta", "2,3", "--bare", "--scale", "1e308"],
     ],
 )
 def test_render_bad_scale_is_one_error_line(capsys, argv):

@@ -101,6 +101,9 @@ def test_vertex_swap_inapplicable():
     deg2 = next(v for v in range(c.vertex_count) if c.degrees[v] == 2)
     with pytest.raises(SwapError):
         vertex_swap(col, deg2)
+    for v in (-1, c.vertex_count):
+        with pytest.raises(DomainError):
+            vertex_swap(col, v)
 
 
 def _swappable_by_scan(col):
@@ -217,11 +220,14 @@ def test_dfs_visits_the_reference_tree(beta):
 def test_every_face_has_three_distinct_corners():
     # the DFS steps each corner of a face once: the cone points are lattice
     # vertices, so every rotation centre is a lattice point, and no group
-    # element maps a corner onto an adjacent one
+    # element maps a corner onto an adjacent one.  So a face meets a vertex
+    # at most once, and every degree-6 star has six distinct faces
     for b in range(1, 26):
         for a in range(b + 1):
             c = build_complex(EisensteinInt(a, b))
             assert all(len(set(ids)) == 3 for ids in c.face_vertices), (a, b)
+            assert all(len(set(star)) == 6 for star in c.vertex_stars()
+                       if len(star) == 6), (a, b)
 
 
 def test_tables_reject_a_face_that_repeats_a_corner():

@@ -208,6 +208,8 @@ def test_vertex_star_matches_face_scan(beta):
     c = build_complex(EisensteinInt(*beta))
     for v in range(c.vertex_count):
         assert c.vertex_star(v) == _vertex_star_by_scan(c, v)
+        assert c.vertex_stars()[v] == tuple(_vertex_star_by_scan(c, v))
+    assert c.vertex_stars() is c.vertex_stars()
     for v in (-1, c.vertex_count):
         with pytest.raises(DomainError):
             c.vertex_star(v)
