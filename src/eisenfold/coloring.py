@@ -19,6 +19,10 @@ from .jsonio import decimal_int, jint
 from .surface import CORNERS, DOWN, NEIGHBOR, UP, QuotientComplex, columns
 
 
+# byte c of a coloring's colors -> its character in the bitstring
+_BITS = bytes.maketrans(bytes((WHITE, BLACK)), b"01")
+
+
 class GoodnessError(ValueError):
     """An operation that needs a good coloring received a bad one."""
 
@@ -47,7 +51,7 @@ class FaceColoring:
         return FaceColoring(self.complex, tuple(1 - c for c in self.colors))
 
     def bitstring(self) -> str:
-        return "".join("1" if c == BLACK else "0" for c in self.colors)
+        return bytes(self.colors).translate(_BITS).decode()
 
 
 @record
@@ -163,19 +167,25 @@ def is_good(col: FaceColoring) -> GoodnessReport:
         x[u] += s
         x[v] += s
         x[w] += s
-    violations = tuple(v for v, d in enumerate(x) if d % 3)
-    mod6 = all(d % 6 == 0 for d in x)
-    return GoodnessReport(not violations, violations, mod6)
+    # one list of residues mod 6 serves both tests, since d % 6 % 3 == d % 3
+    r = [d % 6 for d in x]
+    if not any(r):
+        return GoodnessReport(True, (), True)
+    violations = tuple(v for v, d in enumerate(r) if d % 3)
+    return GoodnessReport(not violations, violations, False)
 
 
 def fold_count(col: FaceColoring) -> int:
     """Number of edges whose two glued faces differ in color."""
     colors = col.colors
     total = 0
-    for f, row in enumerate(col.complex.pairing):
-        for f2, _ in row:
-            if colors[f] != colors[f2]:
-                total += 1
+    for x, ((g0, _), (g1, _), (g2, _)) in zip(colors, col.complex.pairing):
+        if colors[g0] != x:
+            total += 1
+        if colors[g1] != x:
+            total += 1
+        if colors[g2] != x:
+            total += 1
     return total // 2
 
 
@@ -207,6 +217,10 @@ _PARITY = {
 _THIRD = {(p, q, t): k for (k, p, q), t in _PARITY.items()}
 _THIRD.update({(p, p, t): p for p in range(4) for t in (1, -1)})
 
+# _SIGN[16x + 4y + z]: _PARITY[(x, y, z)] for colors x, y, z in 0..3, and 0
+# for a triple with a repeated color
+_SIGN = tuple(_PARITY.get((x, y, z), 0) for x in range(4) for y in range(4) for z in range(4))
+
 
 def vertex_four_coloring(col: FaceColoring) -> list[int]:
     """Proper vertex 4-coloring whose orientation classes reproduce col.
@@ -216,9 +230,6 @@ def vertex_four_coloring(col: FaceColoring) -> list[int]:
     BFS from face 0, whose first corner, vertex 0, takes color 0; a
     contradiction means the input was not good.
     """
-    report = is_good(col)
-    if not report.good:
-        raise GoodnessError(f"coloring is not good at vertices {report.violations[:6]}")
     c = col.complex
     target = [1 if x == BLACK else -1 for x in col.colors]
     vcolor = [-1] * c.vertex_count
@@ -230,9 +241,9 @@ def vertex_four_coloring(col: FaceColoring) -> list[int]:
     # color of its orientation parity from _THIRD.  Rotating the corners so
     # the missing one comes first is a 3-cycle and keeps the parity.  The
     # final loop checks every face.
-    face_vertices = c.face_vertices
-    seen = [False] * c.face_count
-    seen[0] = True
+    face_vertices, pairing = c.face_vertices, c.pairing
+    seen = bytearray(c.face_count)
+    seen[0] = 1
     queue = [0]
     for f in queue:
         a, b, cc = face_vertices[f]
@@ -240,15 +251,26 @@ def vertex_four_coloring(col: FaceColoring) -> list[int]:
         if (x < 0) + (y < 0) + (z < 0) == 1:
             v, p, q = (a, y, z) if x < 0 else (b, z, x) if y < 0 else (cc, x, y)
             vcolor[v] = _THIRD[(p, q, target[f])]
-        for f2, _ in c.pairing[f]:
-            if not seen[f2]:
-                seen[f2] = True
-                queue.append(f2)
+        (g0, _), (g1, _), (g2, _) = pairing[f]
+        if not seen[g0]:
+            seen[g0] = 1
+            queue.append(g0)
+        if not seen[g1]:
+            seen[g1] = 1
+            queue.append(g1)
+        if not seen[g2]:
+            seen[g2] = 1
+            queue.append(g2)
     if len(queue) != c.face_count or any(x < 0 for x in vcolor):
         raise AssertionError("propagation did not reach the whole surface")
 
-    for f, (a, b, cc) in enumerate(c.face_vertices):
-        if _PARITY.get((vcolor[a], vcolor[b], vcolor[cc])) != target[f]:
+    # a coloring that passes this check is the shadow of vcolor, so it is
+    # good; the goodness report is made only to say why a bad one fails
+    for f, (a, b, cc) in enumerate(face_vertices):
+        if _SIGN[16 * vcolor[a] + 4 * vcolor[b] + vcolor[cc]] != target[f]:
+            report = is_good(col)
+            if not report.good:
+                raise GoodnessError(f"coloring is not good at vertices {report.violations[:6]}")
             raise GoodnessError(f"verification failed at face {f}")
     return vcolor
 
@@ -270,14 +292,14 @@ def induced_face_coloring(c: QuotientComplex, vcolor: list[int]) -> FaceColoring
 
 # _SIDES[o][k]: for a face placed as a plane triangle of orientation o whose
 # plane side s is its side (s + k) % 3, one row per plane side s:
-# (da, db, ns, face side, ua, ub, va, vb).  The neighbour across it is
+# (da, db, ns, face side, (ua, ub, va, vb)).  The neighbour across it is
 # anchored da, db away and meets it along its plane side ns; the side runs
 # from the corner (ua, ub) to the corner (va, vb), both offsets from the
 # anchor.
 _SIDES = tuple(
     tuple(
         tuple(
-            (da, db, ns, (s + k) % 3, *CORNERS[o][s], *CORNERS[o][(s + 1) % 3])
+            (da, db, ns, (s + k) % 3, (*CORNERS[o][s], *CORNERS[o][(s + 1) % 3]))
             for s, (da, db, _, ns) in enumerate(NEIGHBOR[o])
         )
         for k in range(3)
@@ -333,16 +355,19 @@ def monochrome_regions(col: FaceColoring) -> list[MonochromeRegion]:
         for f in queue:
             a, b = spot[f]
             row = pairing[f]
-            for da, db, ns, fs, ua, ub, va, vb in _SIDES[orient[f]][shift[f]]:
+            for da, db, ns, fs, side in _SIDES[orient[f]][shift[f]]:
                 f2, s2 = row[fs]
                 if colors[f2] != color:
+                    ua, ub, va, vb = side
                     edges.append(((a + ua, b + ub), (a + va, b + vb)))
                 elif spot[f2] is None:
                     spot[f2] = (a + da, b + db)
                     shift[f2] = (s2 - ns) % 3
                     queue.append(f2)
-                elif spot[f2] != (a + da, b + db):
-                    raise DevelopmentError("region does not embed in the plane")
+                else:
+                    x, y = spot[f2]
+                    if x != a + da or y != b + db:
+                        raise DevelopmentError("region does not embed in the plane")
 
         directed = dict(edges)
         if len(directed) != len(edges):

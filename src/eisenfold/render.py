@@ -84,14 +84,7 @@ def render_svg(spec: RenderSpec) -> str:
     and the folds at the midpoints it holds.
     """
     beta = canonical(spec.beta)
-    if spec.colored:
-        col = continued_fraction_coloring(beta)
-        colors, face_at = col.colors, col.complex.face_at
-
-        def color_of(a: int, b: int, o: int) -> int:
-            return colors[face_at(a, b, o)]
-    else:
-        color_of = None
+    col = continued_fraction_coloring(beta) if spec.colored else None
     delta = EisensteinInt(2, -1) * beta
     dom = spec.domains
     d1, d2, n = delta.a, delta.b, delta.norm()
@@ -102,38 +95,48 @@ def render_svg(spec: RenderSpec) -> str:
         m, l = x * (d1 + d2) + y * d2, y * d1 - x * d2
         return 0 <= m < k * n * dom and 0 <= l < k * n * dom
 
-    # the triangles whose tripled centroids lie in the window scaled by 3
+    # the triangles whose tripled centroids lie in the window scaled by 3:
+    # span[o][a] = (lo, hi) holds (a, b, o) for lo <= b <= hi, and tone[o][a]
+    # their colors, read once per column
     window = cell(delta, 3 * dom)
-    tris = sorted(
-        (a, b, o)
-        for o in (UP, DOWN)
-        for a, lo, hi in columns(window, 3, 1 + o, CELL_OPEN_SIDES)
-        for b in range(lo, hi + 1)
-    )
+    span = [{a: (lo, hi) for a, lo, hi in columns(window, 3, 1 + o, CELL_OPEN_SIDES)}
+            for o in (UP, DOWN)]
+    tris = sorted((a, b, o) for o in (UP, DOWN) for a, (lo, hi) in span[o].items()
+                  for b in range(lo, hi + 1))
     if len(tris) != 6 * beta.norm() * dom * dom:
         raise AssertionError("window does not hold the expected triangle count")
-
-    # each window triangle's own color, read once for its fill and its folds
-    tri_colors = [color_of(a, b, o) if color_of else None for a, b, o in tris]
+    if col is None:
+        tri_colors = [None] * len(tris)
+    else:
+        colors, c = col.colors, col.complex
+        tone = [{a: [colors[f] for f in c.column_faces(a, lo, hi, o)]
+                 for a, (lo, hi) in span[o].items()} for o in (UP, DOWN)]
+        tri_colors = [tone[o][a][b - span[o][a][0]] for a, b, o in tris]
     polys = [
-        ([(a + da, b + db) for da, db in CORNERS[o]], _FILL.get(c, "#FFFFFF"))
-        for (a, b, o), c in zip(tris, tri_colors)
+        ([(a + da, b + db) for da, db in CORNERS[o]], _FILL.get(here, "#FFFFFF"))
+        for (a, b, o), here in zip(tris, tri_colors)
     ]
 
     marks = []
-    if spec.show_folds and color_of:
+    if spec.show_folds and col is not None:
+        # A side between two window triangles is drawn from the lesser; the
+        # window is convex and holds both centroids, so it holds the side's
+        # midpoint, halfway between them.  A side to a triangle outside is
+        # drawn when the window holds its midpoint.
         folds = []
         for (a, b, o), here in zip(tris, tri_colors):
             corners = CORNERS[o]
             for s, (da, db, no, _) in enumerate(NEIGHBOR[o]):
-                # a side is drawn from the first window triangle that holds it
-                if (da, db, no) < (0, 0, o) and inside(
-                        3 * (a + da) + 1 + no, 3 * (b + db) + 1 + no, 3):
-                    continue
+                x, y = a + da, b + db
+                lo, hi = span[no].get(x, (1, 0))
                 (pa, pb), (qa, qb) = corners[s], corners[(s + 1) % 3]
-                p, q = (a + pa, b + pb), (a + qa, b + qb)
-                if inside(p[0] + q[0], p[1] + q[1], 2) and here != color_of(a + da, b + db, no):
-                    folds.append((p, q))
+                if lo <= y <= hi:
+                    if (da, db, no) < (0, 0, o) or here == tone[no][x][y - lo]:
+                        continue
+                elif (not inside(2 * a + pa + qa, 2 * b + pb + qb, 2)
+                      or here == colors[c.face_at(x, y, no)]):
+                    continue
+                folds.append(((a + pa, b + pb), (a + qa, b + qb)))
         if folds:
             folds.sort()
             marks.append((f'<g class="folds" stroke="{_FOLD_STROKE}" stroke-width="2.0">', ()))

@@ -10,6 +10,7 @@ from eisenfold import coloring
 from eisenfold.eisenstein import EisensteinInt, DomainError
 from eisenfold.coloring import (
     _PARITY,
+    _SIGN,
     DevelopmentError,
     FaceColoring,
     GoodnessError,
@@ -222,6 +223,14 @@ def test_parity_table_matches_permutation_sign():
     assert len(triples) == 24 and sorted(_PARITY) == triples
     for t in triples:
         assert _PARITY[t] == parity(*t)
+
+
+def test_sign_table_matches_parity_table():
+    for x in range(4):
+        for y in range(4):
+            for z in range(4):
+                assert _SIGN[16 * x + 4 * y + z] == _PARITY.get((x, y, z), 0)
+    assert len(_SIGN) == 64
 
 
 _PRIMITIVE_NORM_150 = [

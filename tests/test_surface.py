@@ -165,12 +165,21 @@ def test_pairing_respects_planar_adjacency():
             assert project(c, neighbor) == c.pairing[f][s][0]
 
 
+# every canonical beta 0 <= a <= b of norm <= 100, and two large ones
+_INVOLUTION_BETAS = [
+    (a, b) for b in range(1, 11) for a in range(b + 1) if a * a + a * b + b * b <= 100
+] + [(56, 89), (3, 125)]
+
+
 def test_pairing_is_free_involution():
-    c = build_complex(EisensteinInt(3, 5))
-    for f, row in enumerate(c.pairing):
-        for s, (f2, s2) in enumerate(row):
-            assert (f2, s2) != (f, s)
-            assert c.pairing[f2][s2] == (f, s)
+    # the global rule, which cross-checks the build's one check per glued
+    # pair, made as its later face is written, and its count of such pairs
+    for beta in _INVOLUTION_BETAS:
+        c = build_complex(EisensteinInt(*beta))
+        for f, row in enumerate(c.pairing):
+            for s, (f2, s2) in enumerate(row):
+                assert (f2, s2) != (f, s), beta
+                assert c.pairing[f2][s2] == (f, s), beta
 
 
 def test_vertex_star_cycles():
